@@ -1,8 +1,9 @@
 // Command firal-bench measures the hot kernels behind the Approx-FIRAL
 // per-round cost model (Tables II–III) — blocked vs reference GEMM, the
-// Lemma-2 Hessian matvec, the ROUND scoring pass, a preconditioned CG
-// solve, and one full Approx-FIRAL round — and writes the results as JSON
-// so successive PRs can track the performance trajectory.
+// thin Γᵀ·X product, the Lemma-2 Hessian matvec, the ROUND scoring pass,
+// a preconditioned CG solve, and one full Approx-FIRAL round — and writes
+// the results as JSON so successive PRs can track the performance
+// trajectory.
 //
 // Usage:
 //
@@ -128,6 +129,22 @@ func main() {
 	})
 	blocked.Extra = map[string]float64{"speedup_vs_naive": naive.NsPerOp / blocked.NsPerOp}
 	rep.Results = append(rep.Results, blocked, naive)
+
+	// --- Thin aᵀ·b: the Lemma-2 product Γᵀ·X of one 3000-row block. ---
+	// c−1 = 9 < 16 output rows keeps it below the blocked gate, on the
+	// packed thin path; its allocs/op pins that path's pooled scratch.
+	thinG, thinX := mat.NewDense(3000, 9), mat.NewDense(3000, 20)
+	trng := rnd.New(2)
+	trng.Normal(thinG.Data, 0, 1)
+	trng.Normal(thinX.Data, 0, 1)
+	thinDst := mat.NewDense(9, 20)
+	rep.Results = append(rep.Results, run("multransa_thin_n3000_c9_d20", func(b *testing.B) {
+		mat.MulTransA(thinDst, thinG, thinX)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			mat.MulTransA(thinDst, thinG, thinX)
+		}
+	}))
 
 	// --- Lemma-2 Hessian matvec with a warm workspace. ---
 	labeled, pool := experiments.SynthSets(20, 2000, 64, 10, 2)

@@ -12,15 +12,21 @@ import (
 // contiguous panels so the inner kernel streams packed memory regardless
 // of the operand layout — in particular aᵀ·b no longer strides down
 // columns — and each loaded element feeds gemmMR×gemmNR multiply-adds
-// instead of one. Small products keep the register-friendly row-sweep
-// reference kernels, where packing overhead would dominate.
+// instead of one. A thin aᵀ·b below the blocked gate — at least one
+// micro-kernel tile of output, e.g. the Lemma-2 product Γᵀ·X with c−1 < 16
+// — runs the same packing and micro-kernel without splitting k
+// (mulTransAThin). Other small products keep the row-sweep reference
+// kernels, where packing overhead would dominate.
 //
 // Results are deterministic for a fixed worker count: workers split output
 // rows, and every output element accumulates its k-terms in the same
 // order (k-panels of gemmKC in ascending order) regardless of how rows are
-// distributed. The blocked kernels reorder floating-point sums relative to
-// the reference kernels, so results agree to roundoff (~1e-12 relative),
-// not bit-for-bit.
+// distributed. The blocked kernels add one partial sum per k-panel to dst,
+// which reorders floating-point sums relative to the reference kernels, so
+// results agree to roundoff (~1e-12 relative), not bit-for-bit. The thin
+// aᵀ·b path carries every element's sum across k-panels instead, in
+// ascending k order from +0 — the reference order — so it equals
+// RefMulTransA bit for bit on finite input, at any worker count.
 
 const (
 	gemmMR = 4 // micro-kernel rows
@@ -35,6 +41,10 @@ const (
 	// GEMM row costs n·k flops, so far fewer rows than parallel.ForChunk's
 	// scalar-loop floor justify a goroutine.
 	gemmRowFloor = 8
+	// thinAElems caps the packed-aᵀ scratch of the thin MulTransA path: k
+	// is packed in chunks of thinAElems/rp rows (at least gemmKC), which
+	// is 4096 rows — one streaming block — at r < 16.
+	thinAElems = 1 << 16
 )
 
 // gemmScratch holds one worker's packing panels.
@@ -86,6 +96,11 @@ var mulTasks = newChunkTaskPool(func(t *kernelTask, lo, hi int) {
 // MulTransA computes dst = aᵀ*b for a (n×r) and b (n×c), yielding r×c.
 // dst must not alias a or b.
 //
+// Results are specified for finite input. There, a product below the
+// blocked-GEMM gate equals RefMulTransA bit for bit at any worker count,
+// whether it takes the packed thin path (r ≥ 4 and c ≥ 4) or the scalar
+// loop; a product above the gate agrees with it to roundoff.
+//
 //firal:hotpath
 func MulTransA(dst, a, b *Dense) *Dense {
 	if a.Rows != b.Rows {
@@ -96,8 +111,13 @@ func MulTransA(dst, a, b *Dense) *Dense {
 		gemm(dst, a, b, true, false)
 		return dst
 	}
-	// Small path: k-outer accumulation walks a and b row-major (the packed
-	// kernel's job at scale); each worker owns a disjoint dst row range.
+	if a.Cols >= gemmMR && b.Cols >= gemmNR {
+		mulTransAThin(dst, a, b)
+		return dst
+	}
+	// Thinner than one micro-kernel tile, where most packed lanes would be
+	// padding: k-outer accumulation walks a and b row-major; each worker
+	// owns a disjoint dst row range.
 	if parallel.SerialMin(a.Cols, gemmRowFloor) {
 		mulTransASmallRange(dst, a, b, 0, a.Cols)
 		return dst
@@ -125,6 +145,78 @@ func mulTransASmallRange(dst, a, b *Dense, lo, hi int) {
 			dr := dst.Row(lo + i)
 			for j, bv := range br {
 				dr[j] += av * bv
+			}
+		}
+	}
+}
+
+// mulTransAThin computes dst = aᵀ·b (r = a.Cols ≥ gemmMR, b.Cols ≥
+// gemmNR) on the packed micro-kernel without splitting k into partial
+// sums. Per k-chunk the caller packs aᵀ once into gemmMR-row panels; the
+// gemmNR-wide column panels of dst are split across workers, which share
+// the packed aᵀ read-only and pack their own b columns. Every tile
+// continues its sums in dst across k-panels (microCarry4x4), so each
+// element adds its k-terms in ascending order from +0 — RefMulTransA's
+// order — on whichever worker owns it. The reference's skip of zero a
+// terms is unobservable on finite input: a sum started at +0 never
+// becomes −0, so adding a ±0 product changes no bit.
+//
+//firal:hotpath
+func mulTransAThin(dst, a, b *Dense) {
+	m, r := a.Rows, a.Cols
+	rp := (r + gemmMR - 1) / gemmMR * gemmMR
+	panels := (b.Cols + gemmNR - 1) / gemmNR
+	ktMax := max(gemmKC, thinAElems/rp)
+	sc := gemmPool.Get().(*gemmScratch)
+	for k0 := 0; k0 < m; k0 += ktMax {
+		kt := min(ktMax, m-k0)
+		ap := growBuf(&sc.a, rp*kt)
+		for pc := 0; pc < kt; pc += gemmKC {
+			packA(ap[rp*pc:], a, true, 0, k0+pc, r, min(gemmKC, kt-pc))
+		}
+		// A column panel costs kt·rp·gemmNR multiply-adds; give each
+		// worker at least gemmMinWork of them.
+		minPer := (gemmMinWork + kt*rp*gemmNR - 1) / (kt * rp * gemmNR)
+		if parallel.SerialMin(panels, minPer) {
+			thinPanelRange(dst, b, ap, &sc.b, k0, kt, 0, panels)
+			continue
+		}
+		t := thinTasks.Get().(*kernelTask)
+		t.m1, t.m2, t.v1 = dst, b, ap
+		t.i1, t.i2 = k0, kt
+		parallel.ForChunkMin(panels, minPer, t.fn)
+		t.release(thinTasks)
+	}
+	gemmPool.Put(sc)
+}
+
+var thinTasks = newChunkTaskPool(func(t *kernelTask, lo, hi int) {
+	wsc := gemmPool.Get().(*gemmScratch)
+	thinPanelRange(t.m1, t.m2, t.v1, &wsc.b, t.i1, t.i2, lo, hi)
+	gemmPool.Put(wsc)
+})
+
+// thinPanelRange computes column panels [lo, hi) of dst over rows
+// [k0, k0+kt) of b, reading the packed aᵀ chunk ap and packing b's
+// columns one gemmKC×gemmNC block at a time into the scratch buffer bbuf.
+//
+//firal:hotpath
+func thinPanelRange(dst, b *Dense, ap []float64, bbuf *[]float64, k0, kt, lo, hi int) {
+	r := dst.Rows
+	rp := len(ap) / kt // ap holds kt k-rows of r padded to rp
+	j0, j1 := lo*gemmNR, min(hi*gemmNR, dst.Cols)
+	bp := growBuf(bbuf, gemmKC*min(gemmNC, (hi-lo)*gemmNR))
+	for pc := 0; pc < kt; pc += gemmKC {
+		kc := min(gemmKC, kt-pc)
+		apc := ap[rp*pc:]
+		for jc := j0; jc < j1; jc += gemmNC {
+			nc := min(gemmNC, j1-jc)
+			packB(bp, b, false, k0+pc, jc, kc, nc)
+			for pj := 0; pj < nc; pj += gemmNR {
+				nr := min(gemmNR, nc-pj)
+				for pi := 0; pi < r; pi += gemmMR {
+					microCarry4x4(kc, apc[pi*kc:], bp[pj*kc:], dst, pi, jc+pj, min(gemmMR, r-pi), nr)
+				}
 			}
 		}
 	}
@@ -250,55 +342,38 @@ func gemmRowRange(dst, a *Dense, transA bool, ap, bp []float64, pc, jc, kc, nc, 
 //
 //firal:hotpath
 func packA(ap []float64, a *Dense, trans bool, i0, k0, mc, kc int) {
+	if trans {
+		// op(a) = aᵀ: element (i, k) lives at a[k0+k][i0+i], so each k is a
+		// contiguous run of a's row k0+k.
+		packPanels(ap, a, k0, i0, kc, mc)
+		return
+	}
 	for pi := 0; pi < mc; pi += gemmMR {
 		dst := ap[pi*kc:]
 		mr := min(gemmMR, mc-pi)
-		if !trans {
-			if mr == gemmMR {
-				r0 := a.Row(i0 + pi)[k0 : k0+kc]
-				r1 := a.Row(i0 + pi + 1)[k0 : k0+kc]
-				r2 := a.Row(i0 + pi + 2)[k0 : k0+kc]
-				r3 := a.Row(i0 + pi + 3)[k0 : k0+kc]
-				for k := 0; k < kc; k++ {
-					d := dst[4*k : 4*k+4 : 4*k+4]
-					d[0] = r0[k]
-					d[1] = r1[k]
-					d[2] = r2[k]
-					d[3] = r3[k]
-				}
-				continue
-			}
-			for r := 0; r < gemmMR; r++ {
-				if r < mr {
-					src := a.Row(i0 + pi + r)[k0 : k0+kc]
-					for k := 0; k < kc; k++ {
-						dst[4*k+r] = src[k]
-					}
-				} else {
-					for k := 0; k < kc; k++ {
-						dst[4*k+r] = 0
-					}
-				}
+		if mr == gemmMR {
+			r0 := a.Row(i0 + pi)[k0 : k0+kc]
+			r1 := a.Row(i0 + pi + 1)[k0 : k0+kc]
+			r2 := a.Row(i0 + pi + 2)[k0 : k0+kc]
+			r3 := a.Row(i0 + pi + 3)[k0 : k0+kc]
+			for k := 0; k < kc; k++ {
+				d := dst[4*k : 4*k+4 : 4*k+4]
+				d[0] = r0[k]
+				d[1] = r1[k]
+				d[2] = r2[k]
+				d[3] = r3[k]
 			}
 			continue
 		}
-		// op(a) = aᵀ: element (i, k) lives at a[k0+k][i0+i], so each k is a
-		// contiguous run of a's row k0+k.
-		for k := 0; k < kc; k++ {
-			src := a.Row(k0 + k)[i0+pi:]
-			d := dst[4*k : 4*k+4 : 4*k+4]
-			if mr == gemmMR {
-				d[0] = src[0]
-				d[1] = src[1]
-				d[2] = src[2]
-				d[3] = src[3]
-				continue
-			}
-			for r := 0; r < gemmMR; r++ {
-				if r < mr {
-					d[r] = src[r]
-				} else {
-					d[r] = 0
+		for r := 0; r < gemmMR; r++ {
+			if r < mr {
+				src := a.Row(i0 + pi + r)[k0 : k0+kc]
+				for k := 0; k < kc; k++ {
+					dst[4*k+r] = src[k]
+				}
+			} else {
+				for k := 0; k < kc; k++ {
+					dst[4*k+r] = 0
 				}
 			}
 		}
@@ -310,30 +385,13 @@ func packA(ap []float64, a *Dense, trans bool, i0, k0, mc, kc int) {
 //
 //firal:hotpath
 func packB(bp []float64, b *Dense, trans bool, k0, j0, kc, nc int) {
+	if !trans {
+		packPanels(bp, b, k0, j0, kc, nc)
+		return
+	}
 	for pj := 0; pj < nc; pj += gemmNR {
 		dst := bp[pj*kc:]
 		nr := min(gemmNR, nc-pj)
-		if !trans {
-			for k := 0; k < kc; k++ {
-				src := b.Row(k0 + k)[j0+pj:]
-				d := dst[4*k : 4*k+4 : 4*k+4]
-				if nr == gemmNR {
-					d[0] = src[0]
-					d[1] = src[1]
-					d[2] = src[2]
-					d[3] = src[3]
-					continue
-				}
-				for t := 0; t < gemmNR; t++ {
-					if t < nr {
-						d[t] = src[t]
-					} else {
-						d[t] = 0
-					}
-				}
-			}
-			continue
-		}
 		// op(b) = bᵀ: column j of op(b) is row j0+j of b, contiguous in k.
 		for t := 0; t < gemmNR; t++ {
 			if t < nr {
@@ -350,20 +408,44 @@ func packB(bp []float64, b *Dense, trans bool, k0, j0, kc, nc int) {
 	}
 }
 
-// micro4x4 accumulates a 4×4 tile of the product of one packed A panel and
-// one packed B panel into dst at (i, j). Only the valid mr×nr region is
-// written back; the padded lanes accumulate zeros. The tile itself comes
-// from the SSE2 kernel on amd64 and from the scalar loop elsewhere; both
-// sum k-terms in the same order, so results are identical.
+// packPanels copies the w contiguous elements at column c0 of rows
+// [r0, r0+kc) of m into ⌈w/4⌉ panels of four interleaved columns —
+// panel p at dst[4p·kc:] holds columns [4p, 4p+4) row after row — and
+// zero-pads the lanes beyond w: the packed layout of the A panels of aᵀ
+// and of the B panels of b. Panels are filled one at a time, so writes
+// stay sequential however many panels there are.
+//
+//firal:hotpath
+func packPanels(dst []float64, m *Dense, r0, c0, kc, w int) {
+	for p := 0; p < w; p += 4 {
+		d := dst[p*kc : p*kc+4*kc]
+		off := r0*m.Stride + c0 + p
+		if p+4 <= w {
+			for k := 0; k < len(d); k += 4 {
+				s := m.Data[off : off+4 : off+4]
+				dk := d[k : k+4 : k+4]
+				dk[0], dk[1], dk[2], dk[3] = s[0], s[1], s[2], s[3]
+				off += m.Stride
+			}
+			continue
+		}
+		for k := 0; k < len(d); k += 4 {
+			dk := d[k : k+4 : k+4]
+			dk[0], dk[1], dk[2], dk[3] = 0, 0, 0, 0
+			copy(dk, m.Data[off:off+w-p])
+			off += m.Stride
+		}
+	}
+}
+
+// micro4x4 adds the 4×4 tile product of one packed A panel and one packed
+// B panel, summed from zero, to dst at (i, j). Only the valid mr×nr region
+// is written back; the padded lanes accumulate zeros.
 //
 //firal:hotpath
 func micro4x4(kc int, ap, bp []float64, dst *Dense, i, j, mr, nr int) {
 	var acc [gemmMR * gemmNR]float64
-	if useAsmKernel {
-		micro4x4sse(kc, &ap[0], &bp[0], &acc[0])
-	} else {
-		microScalar4x4(kc, ap, bp, &acc)
-	}
+	microTile(kc, ap, bp, &acc)
 	if mr == gemmMR && nr == gemmNR {
 		r := dst.Row(i)[j : j+4 : j+4]
 		r[0] += acc[0]
@@ -395,15 +477,46 @@ func micro4x4(kc int, ap, bp []float64, dst *Dense, i, j, mr, nr int) {
 	}
 }
 
+// microCarry4x4 continues the sums of dst's mr×nr tile at (i, j) with kc
+// more packed k-terms: the tile is loaded into the accumulators, the
+// micro-kernel adds the terms in ascending k order, and the sums are
+// stored back. Padded lanes start at zero and are never stored.
+//
+//firal:hotpath
+func microCarry4x4(kc int, ap, bp []float64, dst *Dense, i, j, mr, nr int) {
+	var acc [gemmMR * gemmNR]float64
+	for r := 0; r < mr; r++ {
+		copy(acc[gemmNR*r:gemmNR*r+nr], dst.Row(i + r)[j:j+nr])
+	}
+	microTile(kc, ap, bp, &acc)
+	for r := 0; r < mr; r++ {
+		copy(dst.Row(i + r)[j:j+nr], acc[gemmNR*r:gemmNR*r+nr])
+	}
+}
+
+// microTile adds the 4×4 tile product of packed panels ap and bp over kc
+// k-steps to acc, continuing each element's sum in ascending k order. The
+// SSE2 kernel runs on amd64 and the scalar loop elsewhere; both add the
+// terms in the same order, so results are identical.
+//
+//firal:hotpath
+func microTile(kc int, ap, bp []float64, acc *[gemmMR * gemmNR]float64) {
+	if useAsmKernel {
+		micro4x4sse(kc, &ap[0], &bp[0], &acc[0])
+		return
+	}
+	microScalar4x4(kc, ap, bp, acc)
+}
+
 // microScalar4x4 is the portable micro-kernel: sixteen independent
-// accumulators over the packed panels, overwriting acc.
+// accumulators over the packed panels, starting from acc's values.
 //
 //firal:hotpath
 func microScalar4x4(kc int, ap, bp []float64, acc *[gemmMR * gemmNR]float64) {
-	var c00, c01, c02, c03 float64
-	var c10, c11, c12, c13 float64
-	var c20, c21, c22, c23 float64
-	var c30, c31, c32, c33 float64
+	c00, c01, c02, c03 := acc[0], acc[1], acc[2], acc[3]
+	c10, c11, c12, c13 := acc[4], acc[5], acc[6], acc[7]
+	c20, c21, c22, c23 := acc[8], acc[9], acc[10], acc[11]
+	c30, c31, c32, c33 := acc[12], acc[13], acc[14], acc[15]
 	ap = ap[:4*kc]
 	bp = bp[:4*kc]
 	for off := 0; off < len(ap); off += 4 {

@@ -1,9 +1,10 @@
-// SSE2 micro-kernel for the blocked GEMM. SSE2 is part of the amd64
-// baseline, so no CPU-feature detection is needed. The kernel computes a
-// 4×4 tile C = Ap·Bp from packed panels (A interleaved 4 values per k,
-// B interleaved 4 values per k) into acc, with each accumulator summing
-// its k-terms in ascending order — exactly the order of the scalar
-// fallback kernel, so both produce bit-identical results.
+// SSE2 micro-kernel for the packed products. SSE2 is part of the amd64
+// baseline, so no CPU-feature detection is needed. The kernel adds the
+// 4×4 tile C = Ap·Bp of packed panels (A interleaved 4 values per k, B
+// interleaved 4 values per k) to the incoming acc, each accumulator
+// continuing its chain with the k-terms in ascending order — exactly the
+// order of the scalar fallback kernel, so both produce bit-identical
+// results.
 
 #include "textflag.h"
 
@@ -15,15 +16,15 @@ TEXT ·micro4x4sse(SB), NOSPLIT, $0-32
 	MOVQ acc+24(FP), DX
 
 	// Accumulators: X0..X7 hold the 4×4 tile, two columns per register:
-	// X(2r) = C[r][0:2], X(2r+1) = C[r][2:4].
-	XORPS X0, X0
-	XORPS X1, X1
-	XORPS X2, X2
-	XORPS X3, X3
-	XORPS X4, X4
-	XORPS X5, X5
-	XORPS X6, X6
-	XORPS X7, X7
+	// X(2r) = C[r][0:2], X(2r+1) = C[r][2:4]. They start from acc.
+	MOVUPD (DX), X0
+	MOVUPD 16(DX), X1
+	MOVUPD 32(DX), X2
+	MOVUPD 48(DX), X3
+	MOVUPD 64(DX), X4
+	MOVUPD 80(DX), X5
+	MOVUPD 96(DX), X6
+	MOVUPD 112(DX), X7
 
 	TESTQ CX, CX
 	JZ    done

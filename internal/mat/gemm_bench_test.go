@@ -68,3 +68,21 @@ func BenchmarkWeightedGram(b *testing.B) {
 		WeightedGram(dst, x, w)
 	}
 }
+
+// BenchmarkMulTransAThin times thin aᵀ·b shapes below the blocked gate:
+// the Lemma-2 product Γᵀ·X of one 3000-row block (c−1 = 9, d = 20), and
+// softmax training's d=20, c−1=9 gradient over 10 and 40 labeled rows.
+func BenchmarkMulTransAThin(b *testing.B) {
+	for _, sh := range []struct{ m, r, n int }{{3000, 9, 20}, {40, 20, 9}, {10, 20, 9}} {
+		b.Run(fmt.Sprintf("m%d_r%d_n%d", sh.m, sh.r, sh.n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(3))
+			a, x := randDense(rng, sh.m, sh.r), randDense(rng, sh.m, sh.n)
+			dst := NewDense(sh.r, sh.n)
+			MulTransA(dst, a, x)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				MulTransA(dst, a, x)
+			}
+		})
+	}
+}

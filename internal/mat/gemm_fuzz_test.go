@@ -59,25 +59,75 @@ func checkGEMMShape(t *testing.T, m, n, k int, seed uint64) {
 	if got := Mul(nil, a, b); relDiff(got, want) > tol {
 		t.Errorf("Mul m=%d n=%d k=%d: rel diff %g", m, n, k, relDiff(got, want))
 	}
-	wantTA := RefMulTransA(nil, at, b)
-	if got := MulTransA(nil, at, b); relDiff(got, wantTA) > tol {
-		t.Errorf("MulTransA m=%d n=%d k=%d: rel diff %g", m, n, k, relDiff(got, wantTA))
-	}
+	checkMulTransAShape(t, at, b)
 	wantTB := RefMulTransB(nil, a, bt)
 	if got := MulTransB(nil, a, bt); relDiff(got, wantTB) > tol {
 		t.Errorf("MulTransB m=%d n=%d k=%d: rel diff %g", m, n, k, relDiff(got, wantTB))
 	}
 }
 
+// stridedCopy returns a copy of src whose rows are padded to a stride of
+// Cols+3 with NaN, so a kernel that reads past Cols poisons its result.
+func stridedCopy(src *Dense) *Dense {
+	stride := src.Cols + 3
+	d := &Dense{Rows: src.Rows, Cols: src.Cols, Stride: stride, Data: make([]float64, src.Rows*stride)}
+	for i := range d.Data {
+		d.Data[i] = math.NaN()
+	}
+	d.CopyFrom(src)
+	return d
+}
+
+// checkMulTransAShape checks MulTransA(dst, a, b) = aᵀ·b against
+// RefMulTransA twice: on the contiguous operands, and on strided copies
+// (destination included) whose a has every fifth row zeroed, as Γ's rows
+// are wherever w_i = 0. Below the blocked-GEMM gate — the thin packed path
+// and the scalar loop — the results must match bit for bit; above it, to
+// roundoff.
+func checkMulTransAShape(t *testing.T, a, b *Dense) {
+	t.Helper()
+	k, r, n := a.Rows, a.Cols, b.Cols
+	exact := !useBlocked(r, n, k)
+	za := stridedCopy(a)
+	for i := 2; i < k; i += 5 {
+		clear(za.Row(i))
+	}
+	for _, op := range [][2]*Dense{{a, b}, {za, stridedCopy(b)}} {
+		want := RefMulTransA(nil, op[0], op[1])
+		got := MulTransA(stridedCopy(want), op[0], op[1])
+		if !exact {
+			if d := relDiff(got, want); d > 1e-12 {
+				t.Errorf("MulTransA r=%d n=%d k=%d stride=%d: rel diff %g", r, n, k, op[0].Stride, d)
+			}
+			continue
+		}
+		for i := 0; i < r; i++ {
+			for j, v := range got.Row(i) {
+				if w := want.At(i, j); math.Float64bits(v) != math.Float64bits(w) {
+					t.Fatalf("MulTransA r=%d n=%d k=%d stride=%d workers=%d: (%d,%d) = %v, RefMulTransA %v (not bit-identical)",
+						r, n, k, op[0].Stride, parallel.Workers(), i, j, v, w)
+				}
+			}
+			for _, p := range got.Data[i*got.Stride+n : (i+1)*got.Stride] {
+				if !math.IsNaN(p) {
+					t.Fatalf("MulTransA r=%d n=%d k=%d: wrote into row %d's stride padding", r, n, k, i)
+				}
+			}
+		}
+	}
+}
+
 // TestBlockedGEMMRaggedShapes sweeps boundary shapes around the
 // micro-kernel (4), the parallel row floor (8), and the cache-blocking
 // parameters (64/256/512), serially and with the worker pool engaged.
+// The thin aᵀ·b shapes (r < 16 output rows) add m across the gemmKC
+// panel edges and the packed-aᵀ chunk edge (4096 rows at r = 15).
 func TestBlockedGEMMRaggedShapes(t *testing.T) {
 	dims := []int{1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 63, 65}
 	if !testing.Short() {
 		dims = append(dims, 127, 129, 255, 257)
 	}
-	for _, workers := range []int{1, 4} {
+	for _, workers := range []int{1, 2, 4} {
 		prev := parallel.SetMaxWorkers(workers)
 		// Ragged triples: rotate the dimension list against itself so each
 		// (m, n, k) mixes small/large and aligned/unaligned extents.
@@ -94,8 +144,31 @@ func TestBlockedGEMMRaggedShapes(t *testing.T) {
 		} {
 			checkGEMMShape(t, tr[0], tr[1], tr[2], uint64(tr[0]*tr[1]))
 		}
+		for _, r := range []int{4, 5, 9, 15} {
+			for _, d := range []int{4, 5, 20, 63, 64} {
+				for _, m := range []int{1, 255, 256, 257, 3000, 4097} {
+					checkThinShape(t, r, d, m)
+				}
+			}
+		}
+		// Around the thin gate: r ≥ 16 below the blocked work or column
+		// gate (softmax training's d=20, c−1=9 gradient; a second packed
+		// chunk at r = 20), and r < 4 or d < 4, which keep the scalar loop.
+		for _, tr := range [][3]int{{20, 9, 40}, {20, 5, 4097}, {3, 20, 3000}, {9, 3, 3000}} {
+			checkThinShape(t, tr[0], tr[1], tr[2])
+		}
 		parallel.SetMaxWorkers(prev)
 	}
+}
+
+// checkThinShape runs checkMulTransAShape on random m×r and m×d operands.
+func checkThinShape(t *testing.T, r, d, m int) {
+	t.Helper()
+	s := lcg(uint64(r*10007 + d*101 + m))
+	a, b := NewDense(m, r), NewDense(m, d)
+	s.fill(a.Data)
+	s.fill(b.Data)
+	checkMulTransAShape(t, a, b)
 }
 
 // FuzzGEMMShapes is the fuzzing entry for the same property; `go test`
@@ -178,6 +251,10 @@ func TestKernelsZeroAllocMulticore(t *testing.T) {
 	warmAndPin("Mul(600x32,32x32)", func() { Mul(dst, a, b) })
 	warmAndPin("Mul(32x32,32x32)", func() { Mul(small, b, b) })
 	warmAndPin("MulTransA", func() { MulTransA(small, a, dst) })
+	thinG, thinX, thinDst := NewDense(3000, 9), NewDense(3000, 20), NewDense(9, 20)
+	s.fill(thinG.Data)
+	s.fill(thinX.Data)
+	warmAndPin("MulTransA(3000x9,3000x20) thin", func() { MulTransA(thinDst, thinG, thinX) })
 	warmAndPin("MulTransB", func() { MulTransB(small, b, b) })
 	warmAndPin("MatVec", func() { MatVec(y, a, x) })
 	warmAndPin("RowDots", func() { RowDots(y, a, dst) })

@@ -4,8 +4,9 @@ package mat
 // the amd64 baseline, so no runtime feature detection is required.
 const useAsmKernel = true
 
-// micro4x4sse computes the 4×4 tile product of packed panels ap and bp
-// over kc steps into acc (row-major [16]float64), overwriting acc.
+// micro4x4sse adds the 4×4 tile product of packed panels ap and bp over
+// kc steps to acc (row-major [16]float64), continuing each element's sum
+// from its incoming value.
 //
 //go:noescape
 func micro4x4sse(kc int, ap, bp, acc *float64)
