@@ -87,7 +87,6 @@ func main() {
 		opTimeout = flag.Duration("op-timeout", 0, "per-operation timeout enabling rank-failure recovery (0 = wait forever)")
 		killAfter = flag.Int("kill-after", 0, "test hook: crash this process after N collective steps (0 = off)")
 		blockRows = flag.Int("block", 0, "streaming row-block size (0 = default)")
-		prefetch  = flag.Bool("prefetch", true, "overlap shard decode with compute via async block read-ahead (selections are identical either way; dist-firal ranks always prefetch)")
 		pack      = flag.String("pack", "", "write the -pool CSV (features only) to this shard file and exit")
 	)
 	flag.Parse()
@@ -99,15 +98,18 @@ func main() {
 		return
 	}
 	if *shards != "" {
-		if err := streamSelect(streamConfig{
+		picked, err := streamSelect(streamConfig{
 			shards: strings.Split(*shards, ","), labeled: *labPath, labelCol: *labelCol,
 			selector: *selName, ranks: *ranks, budget: *budget, block: *blockRows,
 			seed: *seed, probes: *probes, cgtol: *cgtol, relaxIters: *relaxIt, workers: *workers,
-			prefetch:  *prefetch,
 			transport: *transport, rank: *rank, peers: *peers, chunk: *chunk,
 			opTimeout: *opTimeout, killAfter: *killAfter,
-		}); err != nil {
+		})
+		if err != nil {
 			log.Fatal(err)
+		}
+		for _, i := range picked {
+			fmt.Println(i)
 		}
 		return
 	}

@@ -43,9 +43,6 @@
 // interface (or wrap a function with SelectorFunc) and may Register a
 // factory to become name-addressable alongside the built-ins.
 //
-// The previous Run/Step entry points remain as deprecated wrappers over
-// RunContext/StepContext for one release.
-//
 // # Performance substrate
 //
 // The dense kernels under internal/mat are cache-blocked and panel-packed

@@ -2,10 +2,11 @@
 // in-memory matrix. The walkthrough packs a synthetic pool into the
 // float32 shard format block by block, memory-maps it back through
 // dataset.OpenShards, attaches classifier probabilities in one streamed
-// pass, and runs Approx-FIRAL over a hessian.Stream — the same path
-// `firal -shards` uses, and the one that scales selection past resident
-// RAM (the BENCH_round.json pool_stream_n1e6_d64 entry scores a
-// 1,000,000×64 pool this way at 0 allocs/op steady state).
+// pass, and runs Approx-FIRAL over a hessian.Stream through
+// internal/round — the same pipeline `firal -shards` and firald use, and
+// the one that scales selection past resident RAM (the BENCH_round.json
+// pool_stream_n1e6_d64 entry scores a 1,000,000×64 pool this way at 0
+// allocs/op steady state).
 //
 //	go run ./examples/streaming
 package main
@@ -23,6 +24,7 @@ import (
 	"repro/internal/logreg"
 	"repro/internal/mat"
 	"repro/internal/rnd"
+	"repro/internal/round"
 	"repro/internal/softmax"
 )
 
@@ -90,30 +92,19 @@ func main() {
 		log.Fatal(err)
 	}
 	reduced := mat.NewDense(n, classes-1)
-	for lo := 0; lo < n; lo += blockRows {
-		hi := min(lo+blockRows, n)
-		xb := block.RowSlice(0, hi-lo)
-		if err := src.ReadRows(lo, hi, xb); err != nil {
-			log.Fatal(err)
-		}
-		probs := softmax.Probabilities(nil, xb, model.Theta)
-		for i := lo; i < hi; i++ {
-			copy(reduced.Row(i), probs.Row(i - lo)[:classes-1])
-		}
+	if err := round.Probs(reduced, src, model.Theta, blockRows, 0, n); err != nil {
+		log.Fatal(err)
 	}
 
-	// ❹ Select through the block-streaming solver path. hessian.NewStream
-	// implements the same Pool contract as a resident set, so RELAX and
-	// ROUND run unchanged — their kernels just iterate shard blocks.
-	// dataset.WithPrefetch decodes block k+1 asynchronously while the
-	// kernels chew block k; selections are bit-identical with or without
-	// it (this demo pool fits one block, so the hook returns src as-is).
-	labeled := hessian.NewSet(labX, hessian.ReduceProbs(softmax.Probabilities(nil, labX, model.Theta)))
-	swept := dataset.WithPrefetch(context.Background(), src, blockRows)
-	defer swept.Close()
-	pool := hessian.NewStream(swept, reduced, blockRows)
-	problem := firal.NewProblem(labeled, pool)
-	res, err := firal.SelectApprox(context.Background(), problem, budget, firal.Options{
+	// ❹ Select through the streamed round pipeline. It wraps the shards in
+	// dataset.WithPrefetch, which decodes block k+1 asynchronously while
+	// the kernels chew block k, and serves them to RELAX and ROUND as a
+	// hessian.Stream — the same Pool contract as a resident set, so the
+	// solvers run unchanged and their kernels just iterate shard blocks.
+	// Selections are bit-identical with or without the read-ahead.
+	res, err := round.Select(context.Background(), round.Spec{
+		Labeled: hessian.NewSet(labX, hessian.ReduceProbs(softmax.Probabilities(nil, labX, model.Theta))),
+		Src:     src, Probs: reduced, BlockRows: blockRows, Budget: budget,
 		Relax: firal.RelaxOptions{Seed: 1, MaxIter: 20}, // capped so the demo stays snappy
 	})
 	if err != nil {
@@ -121,5 +112,5 @@ func main() {
 	}
 	fmt.Printf("selected %d pool rows for labeling: %v\n", len(res.Selected), res.Selected)
 	fmt.Printf("RELAX: %d mirror-descent iterations, %d CG iterations total\n",
-		res.Relax.Iterations, res.Relax.CGIterations)
+		res.RelaxIterations, res.CGIterations)
 }

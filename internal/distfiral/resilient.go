@@ -84,7 +84,8 @@ func agreeCheckpoint(c *mpi.Comm, last, prev *firal.RelaxCheckpoint) (ck *firal.
 // or failures can never be detected; SelectResilient refuses to start
 // without one. o.Resume seeds the first attempt; o.OnIteration, if set,
 // additionally observes every global checkpoint (set it on all ranks or
-// on none — the checkpoint gather is a collective).
+// on none — the checkpoint gather is a collective). exclude is passed to
+// every ROUND attempt, as in Round.
 //
 // Because checkpoints are global and the probe stream is owned by rank 0,
 // the recovered selection is bit-identical to a fresh run at the survivor
@@ -92,7 +93,7 @@ func agreeCheckpoint(c *mpi.Comm, last, prev *firal.RelaxCheckpoint) (ck *firal.
 // this. If rank 0 dies, its probe stream dies with it: the new rank 0
 // re-seeds from o.Seed and fast-forwards to the checkpointed iteration,
 // which reproduces the identical stream.
-func SelectResilient(ctx context.Context, c *mpi.Comm, mk ShardMaker, b int, eta float64, o firal.RelaxOptions) (*ResilientResult, error) {
+func SelectResilient(ctx context.Context, c *mpi.Comm, mk ShardMaker, b int, eta float64, o firal.RelaxOptions, exclude ...int) (*ResilientResult, error) {
 	if c.OpTimeout() <= 0 {
 		return nil, fmt.Errorf("distfiral: SelectResilient requires an operation timeout (SetOpTimeout) to detect rank failures")
 	}
@@ -119,7 +120,7 @@ func SelectResilient(ctx context.Context, c *mpi.Comm, mk ShardMaker, b int, eta
 		relax, err := Relax(ctx, c, s, b, attempt)
 		if err == nil {
 			var round *RoundResult
-			round, err = Round(ctx, c, s, relax.ZLocal, b, eta)
+			round, err = Round(ctx, c, s, relax.ZLocal, b, eta, exclude...)
 			if err == nil {
 				res.Selected = round.Selected
 				res.Relax = relax

@@ -15,6 +15,9 @@ type RoundResult struct {
 	Selected []int
 	Nu       []float64
 	MinEigH  float64
+	// Eta is the learning rate η the step ran with: the caller's, or the
+	// Theorem-1 default 8·√(ẽd) when the caller passed η ≤ 0.
+	Eta float64
 	// Timings holds this rank's phase breakdown ("objective", "eig",
 	// "comm", "other").
 	Timings *timing.Phases
@@ -36,7 +39,7 @@ func Round(ctx context.Context, c *mpi.Comm, s *Shard, zLocal []float64, b int, 
 	if eta <= 0 {
 		eta = 8 * math.Sqrt(float64(s.Ed()))
 	}
-	res = &RoundResult{Timings: timing.New()}
+	res = &RoundResult{Eta: eta, Timings: timing.New()}
 	ph := res.Timings
 	d, cc := s.D(), s.C()
 
@@ -148,14 +151,15 @@ func Round(ctx context.Context, c *mpi.Comm, s *Shard, zLocal []float64, b int, 
 }
 
 // Select runs the full distributed Approx-FIRAL (RELAX + ROUND) on one
-// rank's shard. All ranks return identical Selected slices. Cancelling
-// the context aborts all ranks together at the next collective check.
-func Select(ctx context.Context, c *mpi.Comm, s *Shard, b int, eta float64, relaxOpts firal.RelaxOptions) ([]int, *RelaxResult, *RoundResult, error) {
+// rank's shard. All ranks return identical Selected slices; exclude is
+// passed to ROUND, as in Round. Cancelling the context aborts all ranks
+// together at the next collective check.
+func Select(ctx context.Context, c *mpi.Comm, s *Shard, b int, eta float64, relaxOpts firal.RelaxOptions, exclude ...int) ([]int, *RelaxResult, *RoundResult, error) {
 	relax, err := Relax(ctx, c, s, b, relaxOpts)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	round, err := Round(ctx, c, s, relax.ZLocal, b, eta)
+	round, err := Round(ctx, c, s, relax.ZLocal, b, eta, exclude...)
 	if err != nil {
 		return nil, relax, nil, err
 	}

@@ -10,8 +10,6 @@ import (
 	"time"
 
 	"repro/internal/dataset"
-	"repro/internal/logreg"
-	"repro/internal/mat"
 )
 
 // appendShard packs n synthetic rows into a fresh shard file and returns
@@ -258,55 +256,5 @@ func TestWarmStartedRounds(t *testing.T) {
 	}
 	if wr, _, err := readCheckpoint(warmPath(sess.dir)); err != nil || wr != 2 {
 		t.Fatalf("warm checkpoint after round 2: round %d, err %v; want round 2", wr, err)
-	}
-}
-
-// TestStreamProbsRangeMatchesFull pins the delta sweep against the full
-// sweep: filling a matrix with two arbitrary-split range calls must
-// reproduce the single full pass bit for bit, reduced and unreduced.
-func TestStreamProbsRangeMatchesFull(t *testing.T) {
-	const n, d, c = 157, 4, 3
-	dir := t.TempDir()
-	shard, labX, labY := testPool(t, dir, n, d, c, 51)
-	src, err := dataset.OpenShards(shard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-
-	labM := mat.NewDense(len(labX), d)
-	for i, row := range labX {
-		copy(labM.Row(i), row)
-	}
-	model, err := logreg.Train(labM, labY, c, nil, logreg.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, reduce := range []bool{true, false} {
-		cols := c
-		if reduce {
-			cols = c - 1
-		}
-		full, err := streamProbs(src, model, c, 13, reduce)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, split := range []int{0, 1, 13, 64, n - 1, n} {
-			got := mat.NewDense(n, cols)
-			if err := streamProbsRange(src, model, c, 13, reduce, 0, split, got); err != nil {
-				t.Fatal(err)
-			}
-			if err := streamProbsRange(src, model, c, 13, reduce, split, n, got); err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < n; i++ {
-				for j := 0; j < cols; j++ {
-					if got.Row(i)[j] != full.Row(i)[j] {
-						t.Fatalf("reduce=%v split=%d: row %d col %d differs", reduce, split, i, j)
-					}
-				}
-			}
-		}
 	}
 }

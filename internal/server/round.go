@@ -4,21 +4,19 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"time"
 
 	pub "repro"
 	"repro/internal/baselines"
 	"repro/internal/dataset"
-	"repro/internal/distfiral"
 	"repro/internal/firal"
 	"repro/internal/hessian"
 	"repro/internal/logreg"
 	"repro/internal/mat"
-	"repro/internal/mpi"
 	"repro/internal/parallel"
 	"repro/internal/rnd"
+	"repro/internal/round"
 	"repro/internal/softmax"
 )
 
@@ -85,10 +83,10 @@ func (s *Server) runRound(ctx context.Context, cancel context.CancelFunc, sess *
 	}
 
 	sess.mu.Lock()
-	rm.Selected = out.selected
-	rm.Eta = out.eta
-	rm.RelaxIterations = out.relaxIters
-	rm.CGIterations = out.cgIters
+	rm.Selected = out.Selected
+	rm.Eta = out.Eta
+	rm.RelaxIterations = out.RelaxIterations
+	rm.CGIterations = out.CGIterations
 	rm.TrainSeconds = out.trainSeconds
 	rm.SelectSeconds = time.Since(t0).Seconds() - out.trainSeconds
 	labeled := len(sess.meta.LabeledY) + len(sess.meta.IndexLabels)
@@ -99,13 +97,13 @@ func (s *Server) runRound(ctx context.Context, cancel context.CancelFunc, sess *
 	os.Remove(checkpointPath(sess.dir)) // the round is durable in session.json now
 	finish(RoundDone, "")
 	s.cfg.Logf("session %s: round %d done: %d selected in %.2fs",
-		sess.meta.ID, rm.Round, len(out.selected), rm.SelectSeconds)
+		sess.meta.ID, rm.Round, len(out.Selected), rm.SelectSeconds)
 
 	report := &pub.RoundReport{
 		Round:         rm.Round,
 		LabeledCount:  labeled,
 		PoolRemaining: remaining,
-		Selected:      out.selected,
+		Selected:      out.Selected,
 		SelectSeconds: rm.SelectSeconds,
 		TrainSeconds:  rm.TrainSeconds,
 	}
@@ -131,19 +129,17 @@ func (s *Server) AddObserver(sessionID string, fn pub.RoundObserver) error {
 
 // roundOutput is what selectOnce hands back to runRound.
 type roundOutput struct {
-	selected     []int
-	eta          float64
-	relaxIters   int
-	cgIters      int
+	round.Result
 	trainSeconds float64
 }
 
 // selectOnce performs one train+select: assemble the labeled set (direct
 // uploads plus index-labeled pool rows), train the classifier, stream the
 // pool once for probabilities, and dispatch to the session's selector with
-// previously selected rows excluded. For Approx-FIRAL the RELAX state is
-// checkpointed through the solver's iteration hook and restored when a
-// matching checkpoint survives from an interrupted attempt.
+// previously selected rows excluded. Approx- and Dist-FIRAL run the shared
+// streamed pipeline (internal/round); their RELAX state is checkpointed
+// through the solver's iteration hook and restored when a matching
+// checkpoint survives from an interrupted attempt.
 func (s *Server) selectOnce(ctx context.Context, sess *Session, rm *RoundMeta) (*roundOutput, error) {
 	sess.mu.Lock()
 	meta := sess.meta // shallow copy; slices are not mutated while a round runs
@@ -190,12 +186,20 @@ func (s *Server) selectOnce(ctx context.Context, sess *Session, rm *RoundMeta) (
 	}
 
 	switch meta.Selector {
-	case "Approx-FIRAL":
+	case "Approx-FIRAL", "Dist-FIRAL":
+		// Dist-FIRAL runs Config.Ranks in-process ranks over stream shards
+		// of the pinned pool view. RELAX checkpoints are global (rank-count
+		// independent) and share the serial format, so an interrupted dist
+		// round resumes like an Approx one — even if the server restarts
+		// with a different -ranks. Only Approx-FIRAL warm-starts.
+		approx := meta.Selector == "Approx-FIRAL"
+		if _, err := servableSelector(meta.Selector, s.cfg.Ranks); err != nil {
+			return nil, err // a Dist session recovered by a server without -ranks
+		}
 		reduced, err := s.roundProbs(sess, meta, rm.Round, src, model, nLab, blockRows, cachedProbs, cachedLabeled)
 		if err != nil {
 			return nil, err
 		}
-
 		relax := firal.RelaxOptions{
 			MaxIter:         meta.RelaxIters,
 			FixedIterations: meta.FixedRelaxIters,
@@ -207,14 +211,14 @@ func (s *Server) selectOnce(ctx context.Context, sess *Session, rm *RoundMeta) (
 		// converged weights (reprojected onto the grown simplex if rows
 		// were appended in between). A resume checkpoint for *this* round
 		// takes precedence below — mid-round state beats a prior's.
-		if wr, wck, err := readCheckpoint(warmPath(sess.dir)); err == nil {
-			if wr == rm.Round-1 && len(wck.Z) > 0 && len(wck.Z) <= meta.Rows {
+		if approx {
+			if wr, wck, err := readCheckpoint(warmPath(sess.dir)); err == nil && wr == rm.Round-1 && len(wck.Z) > 0 && len(wck.Z) <= meta.Rows {
 				relax.WarmStart = firal.ReprojectSimplex(wck.Z, meta.Rows)
 				s.cfg.Logf("session %s: round %d warm-started from round %d weights (%d → %d rows)",
 					meta.ID, rm.Round, wr, len(wck.Z), meta.Rows)
 			}
 		}
-		if round, ck, err := readCheckpoint(checkpointPath(sess.dir)); err == nil && round == rm.Round {
+		if r, ck, err := readCheckpoint(checkpointPath(sess.dir)); err == nil && r == rm.Round {
 			relax.Resume = ck
 			sess.mu.Lock()
 			sess.progress = roundProgress{RelaxIteration: ck.Iteration, RelaxDone: ck.Done, CGIterations: ck.CGIterations}
@@ -234,7 +238,7 @@ func (s *Server) selectOnce(ctx context.Context, sess *Session, rm *RoundMeta) (
 					s.cfg.Logf("session %s: round %d checkpoint: %v", meta.ID, rm.Round, err)
 				}
 			}
-			if ck.Done {
+			if ck.Done && approx {
 				// The Done checkpoint fires before the budget scaling, so
 				// ck.Z still sums to 1 — exactly the simplex point the
 				// next round wants to start from.
@@ -243,106 +247,22 @@ func (s *Server) selectOnce(ctx context.Context, sess *Session, rm *RoundMeta) (
 				}
 			}
 		}
-		labeled := hessian.NewSet(labM, hessian.ReduceProbs(softmax.Probabilities(nil, labM, model.Theta)))
-		// The sweep source is a pinned [0, meta.Rows) view of the session's
-		// live pool wrapped in block read-ahead: while the solver kernels
-		// chew block k, block k+1 is already decoding. The Subrange both
-		// pins the round's row count and makes the prefetcher's Close a
-		// no-op chain — the session's LiveSource outlives the round.
-		// Cancelling the round stops further read-ahead; the solver exits
-		// at its next ctx poll and the deferred Close drains whatever read
-		// is still in flight.
-		swept := dataset.WithPrefetch(ctx, dataset.Subrange(src, 0, meta.Rows), blockRows)
-		defer swept.Close()
-		pool := hessian.NewStream(swept, reduced, blockRows)
-		res, err := firal.SelectApprox(ctx, firal.NewProblem(labeled, pool), rm.Budget,
-			firal.Options{Relax: relax, Exclude: exclude})
+		spec := round.Spec{
+			Labeled: hessian.NewSet(labM, hessian.ReduceProbs(softmax.Probabilities(nil, labM, model.Theta))),
+			// reduced has meta.Rows rows, so the pipeline sweeps a pinned
+			// view of the live pool; the view's Close leaves the session's
+			// LiveSource open.
+			Src: src, Probs: reduced, BlockRows: blockRows,
+			Budget: rm.Budget, Relax: relax, Exclude: exclude,
+		}
+		if !approx {
+			spec.Ranks = s.cfg.Ranks
+		}
+		res, err := round.Select(ctx, spec)
 		if err != nil {
 			return nil, err
 		}
-		out.selected = res.Selected
-		out.eta = res.Eta
-		out.relaxIters = res.Relax.Iterations
-		out.cgIters = res.Relax.CGIterations
-		return out, nil
-
-	case "Dist-FIRAL":
-		// In-process distributed rounds: Config.Ranks goroutine ranks run
-		// the § III-C solver over stream shards of the pinned pool view.
-		// RELAX checkpoints are global (rank-count independent) and share
-		// the serial format, so an interrupted dist round resumes like an
-		// Approx one — even if the server restarts with a different -ranks.
-		reduced, err := s.roundProbs(sess, meta, rm.Round, src, model, nLab, blockRows, cachedProbs, cachedLabeled)
-		if err != nil {
-			return nil, err
-		}
-		relax := firal.RelaxOptions{
-			MaxIter:         meta.RelaxIters,
-			FixedIterations: meta.FixedRelaxIters,
-			Probes:          meta.Probes,
-			CGTol:           meta.CGTol,
-			Seed:            seed,
-		}
-		if round, ck, err := readCheckpoint(checkpointPath(sess.dir)); err == nil && round == rm.Round {
-			relax.Resume = ck
-			sess.mu.Lock()
-			sess.progress = roundProgress{RelaxIteration: ck.Iteration, RelaxDone: ck.Done, CGIterations: ck.CGIterations}
-			sess.mu.Unlock()
-			s.cfg.Logf("session %s: round %d resuming RELAX from iteration %d (done=%v)",
-				meta.ID, rm.Round, ck.Iteration, ck.Done)
-		} else if err == nil {
-			os.Remove(checkpointPath(sess.dir)) // stale: belongs to another round
-		}
-		every := s.cfg.CheckpointEvery
-		labeled := hessian.NewSet(labM, hessian.ReduceProbs(softmax.Probabilities(nil, labM, model.Theta)))
-		pinned := dataset.Subrange(src, 0, meta.Rows)
-		ranks := s.cfg.Ranks
-		type rankOut struct {
-			sel                 []int
-			relaxIters, cgIters int
-			err                 error
-		}
-		outs := make([]rankOut, ranks)
-		mpi.Run(ranks, func(c *mpi.Comm) {
-			ro := relax
-			writer := c.Rank() == 0
-			// The checkpoint gather is a collective, so the hook must be
-			// set on every rank; only rank 0 touches disk and progress.
-			ro.OnIteration = func(ck *firal.RelaxCheckpoint) {
-				if !writer {
-					return
-				}
-				sess.mu.Lock()
-				sess.progress = roundProgress{RelaxIteration: ck.Iteration, RelaxDone: ck.Done, CGIterations: ck.CGIterations}
-				sess.mu.Unlock()
-				if ck.Done || ck.Iteration%every == 0 {
-					if err := writeCheckpoint(checkpointPath(sess.dir), rm.Round, ck); err != nil {
-						s.cfg.Logf("session %s: round %d checkpoint: %v", meta.ID, rm.Round, err)
-					}
-				}
-			}
-			sh := distfiral.MakeStreamShard(labeled, pinned, reduced, blockRows, ranks, c.Rank())
-			rres, rerr := distfiral.Relax(ctx, c, sh, rm.Budget, ro)
-			if rerr != nil {
-				outs[c.Rank()].err = rerr
-				return
-			}
-			rd, rerr := distfiral.Round(ctx, c, sh, rres.ZLocal, rm.Budget, 0, exclude...)
-			if rerr != nil {
-				outs[c.Rank()].err = rerr
-				return
-			}
-			outs[c.Rank()] = rankOut{sel: rd.Selected, relaxIters: rres.Iterations, cgIters: rres.CGIterations}
-		})
-		for _, ro := range outs {
-			if ro.err != nil {
-				return nil, ro.err
-			}
-		}
-		out.selected = outs[0].sel
-		out.eta = 8 * math.Sqrt(float64(meta.Dim*(meta.Classes-1)))
-		out.relaxIters = outs[0].relaxIters
-		out.cgIters = outs[0].cgIters
+		out.Result = *res
 		return out, nil
 
 	case "Exact-FIRAL":
@@ -359,15 +279,15 @@ func (s *Server) selectOnce(ctx context.Context, sess *Session, rm *RoundMeta) (
 		if err != nil {
 			return nil, err
 		}
-		out.selected = res.Selected
-		out.eta = res.Eta
-		out.relaxIters = res.Relax.Iterations
+		out.Selected = res.Selected
+		out.Eta = res.Eta
+		out.RelaxIterations = res.Relax.Iterations
 		return out, nil
 
 	case "Random":
 		allowed := allowedIndices(meta.Rows, exclude)
 		picked := baselines.Random(len(allowed), rm.Budget, rnd.New(seed))
-		out.selected = mapBack(picked, allowed)
+		out.Selected = mapBack(picked, allowed)
 		return out, nil
 
 	case "K-Means":
@@ -381,12 +301,12 @@ func (s *Server) selectOnce(ctx context.Context, sess *Session, rm *RoundMeta) (
 			copy(compact.Row(r), x.Row(i))
 		}
 		picked := baselines.KMeans(compact, rm.Budget, rnd.New(seed))
-		out.selected = mapBack(picked, allowed)
+		out.Selected = mapBack(picked, allowed)
 		return out, nil
 
 	case "Entropy", "Margin", "Least-Confidence":
-		probs, err := streamProbs(src, model, meta.Classes, blockRows, false)
-		if err != nil {
+		probs := mat.NewDense(meta.Rows, meta.Classes)
+		if err := round.Probs(probs, src, model.Theta, blockRows, 0, meta.Rows); err != nil {
 			return nil, err
 		}
 		allowed := allowedIndices(meta.Rows, exclude)
@@ -403,7 +323,7 @@ func (s *Server) selectOnce(ctx context.Context, sess *Session, rm *RoundMeta) (
 		default:
 			picked = baselines.LeastConfidence(compact, rm.Budget)
 		}
-		out.selected = mapBack(picked, allowed)
+		out.Selected = mapBack(picked, allowed)
 		return out, nil
 	}
 	return nil, fmt.Errorf("selector %s is not servable", meta.Selector)
@@ -416,22 +336,20 @@ func (s *Server) selectOnce(ctx context.Context, sess *Session, rm *RoundMeta) (
 // are still exact, and only rows appended to the pool since then need the
 // model applied. This is what makes a round after a small pool append
 // cost O(Δn·d) here instead of O(n·d).
-func (s *Server) roundProbs(sess *Session, meta sessionMeta, round int, src dataset.PoolSource, model *logreg.Model, nLab, blockRows int, cachedProbs *mat.Dense, cachedLabeled int) (*mat.Dense, error) {
-	var reduced *mat.Dense
-	switch {
-	case cachedProbs != nil && cachedLabeled == nLab && cachedProbs.Rows == meta.Rows:
-		reduced = cachedProbs
-	case cachedProbs != nil && cachedLabeled == nLab && cachedProbs.Rows < meta.Rows:
+func (s *Server) roundProbs(sess *Session, meta sessionMeta, roundNo int, src dataset.PoolSource, model *logreg.Model, nLab, blockRows int, cachedProbs *mat.Dense, cachedLabeled int) (*mat.Dense, error) {
+	lo := 0
+	if cachedProbs != nil && cachedLabeled == nLab && cachedProbs.Rows <= meta.Rows {
+		lo = cachedProbs.Rows
+	}
+	reduced := cachedProbs
+	if lo < meta.Rows {
 		reduced = mat.NewDense(meta.Rows, meta.Classes-1)
-		copy(reduced.Data[:cachedProbs.Rows*reduced.Cols], cachedProbs.Data)
-		if err := streamProbsRange(src, model, meta.Classes, blockRows, true, cachedProbs.Rows, meta.Rows, reduced); err != nil {
-			return nil, err
+		if lo > 0 {
+			copy(reduced.Data[:lo*reduced.Cols], cachedProbs.Data)
+			s.cfg.Logf("session %s: round %d probability pass over %d appended rows (of %d)",
+				meta.ID, roundNo, meta.Rows-lo, meta.Rows)
 		}
-		s.cfg.Logf("session %s: round %d probability pass over %d appended rows (of %d)",
-			meta.ID, round, meta.Rows-cachedProbs.Rows, meta.Rows)
-	default:
-		var err error
-		if reduced, err = streamProbs(src, model, meta.Classes, blockRows, true); err != nil {
+		if err := round.Probs(reduced, src, model.Theta, blockRows, lo, meta.Rows); err != nil {
 			return nil, err
 		}
 	}
@@ -439,55 +357,6 @@ func (s *Server) roundProbs(sess *Session, meta sessionMeta, round int, src data
 	sess.probs, sess.probsLabeled = reduced, nLab
 	sess.mu.Unlock()
 	return reduced, nil
-}
-
-// streamProbs sweeps the pool once under the trained model. With reduce
-// set it returns the n×(c−1) reduced matrix the FIRAL solvers consume
-// (Eq. 1, last class dropped); otherwise the full n×c softmax the
-// uncertainty baselines score — either way O(n·c) resident, never the
-// features.
-func streamProbs(src dataset.PoolSource, model *logreg.Model, classes, blockRows int, reduce bool) (*mat.Dense, error) {
-	n := src.NumRows()
-	cols := classes
-	if reduce {
-		cols = classes - 1
-	}
-	outM := mat.NewDense(n, cols)
-	if err := streamProbsRange(src, model, classes, blockRows, reduce, 0, n, outM); err != nil {
-		return nil, err
-	}
-	return outM, nil
-}
-
-// streamProbsRange applies the model to pool rows [lo, hi) only, writing
-// into the matching rows of outM (an n×cols matrix whose other rows are
-// left untouched). Delta-aware rounds use it to score just the appended
-// tail of a grown pool.
-func streamProbsRange(src dataset.PoolSource, model *logreg.Model, classes, blockRows int, reduce bool, lo, hi int, outM *mat.Dense) error {
-	if lo >= hi {
-		return nil
-	}
-	if blockRows <= 0 {
-		blockRows = dataset.DefaultBlockRows
-	}
-	cols := classes
-	if reduce {
-		cols = classes - 1
-	}
-	block := mat.NewDense(min(blockRows, hi-lo), src.Dim())
-	probsBlock := mat.NewDense(min(blockRows, hi-lo), classes)
-	for blo := lo; blo < hi; blo += block.Rows {
-		bhi := min(blo+block.Rows, hi)
-		xb := block.RowSlice(0, bhi-blo)
-		if err := src.ReadRows(blo, bhi, xb); err != nil {
-			return err
-		}
-		pb := softmax.Probabilities(probsBlock.RowSlice(0, bhi-blo), xb, model.Theta)
-		for i := blo; i < bhi; i++ {
-			copy(outM.Row(i), pb.Row(i - blo)[:cols])
-		}
-	}
-	return nil
 }
 
 // allowedIndices returns [0, n) minus the excluded set, ascending.

@@ -383,6 +383,38 @@ func TestResumeBitForBit(t *testing.T) {
 	}
 }
 
+// TestDistRoundRecoveredWithoutRanks restarts a server without -ranks
+// over a Dist-FIRAL session whose round was interrupted: the recovered
+// round must fail with the -ranks error instead of running serially.
+func TestDistRoundRecoveredWithoutRanks(t *testing.T) {
+	shard, labX, labY := testPool(t, t.TempDir(), 60, 4, 2, 43)
+	dataDir := t.TempDir()
+	srv, err := New(Config{DataDir: dataDir, Ranks: 2, Concurrency: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	a := &api{t: t, base: hs.URL}
+	hold, _, err := srv.adm.Admit(false) // keep the round queued
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sv sessionView
+	a.must(http.StatusCreated, "POST", "/v1/sessions", &createRequest{
+		Shards: []string{shard}, Labeled: labeledUpload{X: labX, Y: labY}, Selector: "Dist-FIRAL",
+	}, &sv)
+	a.must(http.StatusAccepted, "POST", "/v1/sessions/"+sv.ID+"/rounds", &roundRequest{Budget: 3}, nil)
+	hs.Close()
+	srv.Close()
+	hold.Release()
+
+	_, a2 := newTestServer(t, Config{DataDir: dataDir})
+	rv := a2.waitRound(sv.ID, 1, 30*time.Second)
+	if rv.Status != RoundFailed || !strings.Contains(rv.Error, "-ranks") {
+		t.Fatalf("recovered dist round without -ranks ended %s: %q, want failed with the -ranks error", rv.Status, rv.Error)
+	}
+}
+
 // TestAdmissionBackpressure pins the HTTP contract: with capacity C and
 // queue depth Q, C+Q+1 concurrent round starts produce exactly one 429,
 // and the refused round succeeds on retry once the congestion clears. The

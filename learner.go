@@ -170,8 +170,9 @@ func (l *Learner) PoolRemaining() int { return len(l.alive) }
 // Model returns the current classifier.
 func (l *Learner) Model() *Model { return &Model{inner: l.model, classes: l.classes} }
 
-// state assembles the Selector view for the current pool and model.
-func (l *Learner) state() *State {
+// state assembles the Selector view of the given round for the current
+// pool and model.
+func (l *Learner) state(round int) *State {
 	aliveX := mat.NewDense(len(l.alive), l.poolX.Cols)
 	for r, i := range l.alive {
 		copy(aliveX.Row(r), l.poolX.Row(i))
@@ -186,7 +187,7 @@ func (l *Learner) state() *State {
 		labProbs:  labProbs,
 		pool:      hessian.NewSet(aliveX, hessian.ReduceProbs(poolProbs)),
 		labeled:   hessian.NewSet(labX, hessian.ReduceProbs(labProbs)),
-		seed:      l.seed + int64(l.round)*7919,
+		seed:      l.seed + int64(round)*7919,
 	}
 }
 
@@ -205,8 +206,10 @@ func (l *Learner) StepContext(ctx context.Context, sel Selector, b int) (*RoundR
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	l.round++
-	st := l.state()
+	// The counter advances only once the round's selection is accepted,
+	// so a failed or cancelled attempt is retried as the same round, with
+	// the same seed.
+	st := l.state(l.round + 1)
 
 	t0 := time.Now()
 	picked, err := sel.Select(ctx, st, min(b, len(l.alive)))
@@ -219,6 +222,7 @@ func (l *Learner) StepContext(ctx context.Context, sel Selector, b int) (*RoundR
 	}
 
 	// Reveal labels and move points from pool to labeled set.
+	l.round++
 	report := &RoundReport{Round: l.round}
 	chosen := make(map[int]bool, len(picked))
 	for _, r := range picked {
@@ -251,13 +255,6 @@ func (l *Learner) StepContext(ctx context.Context, sel Selector, b int) (*RoundR
 		report.BalancedEvalAccuracy = l.model.ClassBalancedAccuracy(l.evalX, l.evalY)
 	}
 	return report, nil
-}
-
-// Step runs one round with a background context.
-//
-// Deprecated: use StepContext, which supports cancellation.
-func (l *Learner) Step(sel Selector, b int) (*RoundReport, error) {
-	return l.StepContext(context.Background(), sel, b)
 }
 
 // RunContext drives an active-learning session: repeated StepContext
@@ -308,18 +305,6 @@ func (l *Learner) RunContext(ctx context.Context, sel Selector, opts ...RunOptio
 		}
 	}
 	return reports, nil
-}
-
-// Run executes rounds active-learning rounds of budget b each and returns
-// the per-round reports. It stops early if the pool is exhausted.
-//
-// Deprecated: use RunContext, which supports cancellation, stop criteria,
-// and streaming round reports.
-func (l *Learner) Run(sel Selector, rounds, b int) ([]*RoundReport, error) {
-	if rounds <= 0 {
-		return nil, nil // historical behavior: a non-positive schedule runs no rounds
-	}
-	return l.RunContext(context.Background(), sel, WithRounds(rounds), WithBudget(b))
 }
 
 func validateSelection(picked []int, n int) error {

@@ -8,8 +8,8 @@ import (
 	"repro/internal/firal"
 	"repro/internal/hessian"
 	"repro/internal/mat"
-	"repro/internal/mpi"
 	"repro/internal/rnd"
+	"repro/internal/round"
 )
 
 // State is the Selector view of one active-learning round: the remaining
@@ -210,21 +210,15 @@ func DistributedFIRAL(ranks int, o FIRALOptions) Selector {
 		ranks = 1
 	}
 	return SelectorFunc("Approx-FIRAL(dist)", func(ctx context.Context, s *State, b int) ([]int, error) {
-		// Every rank reports its selection and error; failures on ranks
-		// r>0 must surface too, or rank 0 could return a partial/garbage
-		// selection with a nil error.
-		selected := make([][]int, ranks)
-		errs := make([]error, ranks)
-		mpi.Run(ranks, func(c *mpi.Comm) {
-			sh := distfiral.MakeShard(s.labeled, s.pool, ranks, c.Rank())
-			sel, _, _, err := distfiral.Select(ctx, c, sh, b, o.Eta, o.relax(s.seed))
-			selected[c.Rank()], errs[c.Rank()] = sel, err
+		res, err := round.Select(ctx, round.Spec{
+			Ranks: ranks, Budget: b, Eta: o.Eta, Relax: o.relax(s.seed),
+			Shards: func(size, rank int) (*distfiral.Shard, error) {
+				return distfiral.MakeShard(s.labeled, s.pool, size, rank), nil
+			},
 		})
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
+		if err != nil {
+			return nil, err
 		}
-		return selected[0], nil
+		return res.Selected, nil
 	})
 }

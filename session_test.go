@@ -3,6 +3,7 @@ package firal_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -273,5 +274,58 @@ func TestDistributedCancellationTerminatesAllRanks(t *testing.T) {
 	}
 	if !errors.Is(runErr, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", runErr)
+	}
+}
+
+// TestFailedStepKeepsRoundCounter: a step whose selector fails, or whose
+// Approx-FIRAL selection is cancelled mid-RELAX, is not a completed
+// round. The retried step must report Round 1 and draw round 1's seed,
+// so it picks what a fresh learner's first round picks.
+func TestFailedStepKeepsRoundCounter(t *testing.T) {
+	cfg := firal.CIFAR10Like().Scale(0.1).Generate(3)
+	fresh, err := firal.NewLearner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.StepContext(context.Background(), firal.Random(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	failing := firal.SelectorFunc("failing", func(ctx context.Context, s *firal.State, b int) ([]int, error) {
+		return nil, errors.New("selector failed")
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	approx := firal.ApproxFIRAL(firal.FIRALOptions{MaxRelaxIterations: 50, Probes: 5})
+	cancelled := firal.SelectorFunc("cancel-mid-approx", func(ctx context.Context, s *firal.State, b int) ([]int, error) {
+		cancel()
+		return approx.Select(ctx, s, b)
+	})
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+		sel  firal.Selector
+	}{
+		{"failing selector", context.Background(), failing},
+		{"cancelled approx-firal", ctx, cancelled},
+	} {
+		l, err := firal.NewLearner(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.StepContext(tc.ctx, tc.sel, 5); err == nil {
+			t.Fatalf("%s: step succeeded", tc.name)
+		}
+		got, err := l.StepContext(context.Background(), firal.Random(), 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Round != 1 {
+			t.Errorf("%s: retried step reports round %d, want 1", tc.name, got.Round)
+		}
+		if fmt.Sprint(got.Selected) != fmt.Sprint(want.Selected) {
+			t.Errorf("%s: retried step picked %v, fresh learner %v", tc.name, got.Selected, want.Selected)
+		}
 	}
 }
