@@ -212,7 +212,7 @@ func main() {
 		})
 		return err
 	}
-	rep.Results = append(rep.Results, run("approx_firal_round_n600_d32", func(b *testing.B) {
+	rep.Results = append(rep.Results, warmAllocs(run("approx_firal_round_n600_d32", func(b *testing.B) {
 		if err := selectRound(); err != nil {
 			b.Fatal(err)
 		}
@@ -222,7 +222,7 @@ func main() {
 				b.Fatal(err)
 			}
 		}
-	}))
+	}), selectRound))
 
 	// --- Steady-state ROUND candidate step at 4 workers. ---
 	// One rescone-and-update of the n=600 round config with warm state and
@@ -598,6 +598,20 @@ func deltaRoundBench() (entry, error) {
 			"selection_match": 1,
 		},
 	}, nil
+}
+
+// warmAllocs takes e's allocs/op from a warm multi-op measurement of op
+// (testing.AllocsPerRun: one warm-up call, then the mean of five): quick
+// mode times a slow op once (b.N = 1), which charges one-off sync.Pool
+// refills to that single op.
+func warmAllocs(e entry, op func() error) entry {
+	e.AllocsPerOp = int64(testing.AllocsPerRun(5, func() {
+		if err := op(); err != nil {
+			log.Fatal(err)
+		}
+	}))
+	fmt.Printf("%-28s %14s %8d allocs/op (warm, 5 ops)\n", e.Name, "", e.AllocsPerOp)
+	return e
 }
 
 // diffAgainst compares the fresh results to a recorded baseline. Timing

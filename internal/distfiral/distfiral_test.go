@@ -39,6 +39,15 @@ func testSets(seed int64, nLabeled, nPool, d, c int) (*hessian.Set, *hessian.Set
 	return hessian.NewSet(xo, ho), hessian.NewSet(xu, hu)
 }
 
+// tolerance is the relative distributed-vs-serial tolerance at p ranks:
+// zero at one rank, summation-order noise otherwise.
+func tolerance(p int) float64 {
+	if p == 1 {
+		return 0
+	}
+	return 1e-6
+}
+
 func TestMakeShardCoversPool(t *testing.T) {
 	labeled, pool := testSets(1, 6, 23, 3, 3)
 	for _, p := range []int{1, 2, 3, 5} {
@@ -59,7 +68,7 @@ func TestMakeShardCoversPool(t *testing.T) {
 // TestDistributedRelaxMatchesSerial: with identical seeds and fixed
 // iteration counts, the distributed RELAX must reproduce the serial z⋄ up
 // to floating-point summation-order noise, for every paper-relevant rank
-// count.
+// count — and exactly at one rank, where the two run the same arithmetic.
 func TestDistributedRelaxMatchesSerial(t *testing.T) {
 	labeled, pool := testSets(2, 8, 36, 3, 3)
 	b := 5
@@ -71,6 +80,7 @@ func TestDistributedRelaxMatchesSerial(t *testing.T) {
 	}
 
 	for _, p := range []int{1, 2, 3, 4} {
+		tol := tolerance(p)
 		zGlobal := make([]float64, pool.N())
 		var mu sync.Mutex
 		mpi.Run(p, func(c *mpi.Comm) {
@@ -85,7 +95,7 @@ func TestDistributedRelaxMatchesSerial(t *testing.T) {
 			mu.Unlock()
 		})
 		for i := range zGlobal {
-			if math.Abs(zGlobal[i]-serial.Z[i]) > 1e-6*(1+math.Abs(serial.Z[i])) {
+			if math.Abs(zGlobal[i]-serial.Z[i]) > tol*(1+math.Abs(serial.Z[i])) {
 				t.Fatalf("p=%d: z[%d] = %g serial %g", p, i, zGlobal[i], serial.Z[i])
 			}
 		}
@@ -93,7 +103,9 @@ func TestDistributedRelaxMatchesSerial(t *testing.T) {
 }
 
 // TestDistributedRoundMatchesSerial feeds the same z⋄ to the serial and
-// distributed ROUND and demands identical selections.
+// distributed ROUND and demands identical selections, and ν and
+// min-eigenvalue results equal up to summation-order noise (exactly
+// equal at one rank).
 func TestDistributedRoundMatchesSerial(t *testing.T) {
 	labeled, pool := testSets(3, 8, 30, 3, 3)
 	b := 6
@@ -113,6 +125,7 @@ func TestDistributedRoundMatchesSerial(t *testing.T) {
 	}
 
 	for _, p := range []int{1, 2, 3, 4} {
+		tol := tolerance(p)
 		var selected []int
 		var nus []float64
 		var minEig float64
@@ -141,12 +154,62 @@ func TestDistributedRoundMatchesSerial(t *testing.T) {
 			}
 		}
 		for i := range nus {
-			if math.Abs(nus[i]-serial.Nu[i]) > 1e-6*(1+math.Abs(serial.Nu[i])) {
+			if math.Abs(nus[i]-serial.Nu[i]) > tol*(1+math.Abs(serial.Nu[i])) {
 				t.Fatalf("p=%d: ν[%d] = %g serial %g", p, i, nus[i], serial.Nu[i])
 			}
 		}
-		if math.Abs(minEig-serial.MinEigH) > 1e-6*(1+math.Abs(serial.MinEigH)) {
+		if math.Abs(minEig-serial.MinEigH) > tol*(1+math.Abs(serial.MinEigH)) {
 			t.Fatalf("p=%d: MinEigH %g serial %g", p, minEig, serial.MinEigH)
+		}
+	}
+}
+
+// TestDistributedWarmStartMatchesSerial: a warm-started distributed
+// selection slices the global warm vector by each rank's window and
+// matches the serial warm-started selection — z⋄ and the ROUND
+// objectives up to summation-order noise, exactly at one rank.
+func TestDistributedWarmStartMatchesSerial(t *testing.T) {
+	labeled, pool := testSets(8, 8, 41, 3, 3)
+	const b = 4
+	warm := make([]float64, pool.N())
+	rng := rnd.New(5)
+	for i := range warm {
+		warm[i] = rng.Float64()
+	}
+	opts := firal.RelaxOptions{FixedIterations: 4, Seed: 3, Probes: 5, CGTol: 0.01, WarmStart: warm}
+	serial, err := firal.SelectApprox(context.Background(), firal.NewProblem(labeled, pool), b, firal.Options{Relax: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{1, 2, 3} {
+		tol := tolerance(p)
+		z := make([]float64, pool.N())
+		var objectives []float64
+		var mu sync.Mutex
+		mpi.Run(p, func(c *mpi.Comm) {
+			sh := MakeShard(labeled, pool, p, c.Rank())
+			_, relax, round, err := Select(context.Background(), c, sh, b, 0, opts)
+			if err != nil {
+				t.Errorf("p=%d: %v", p, err)
+				return
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			copy(z[sh.PoolOffset:], relax.ZLocal)
+			objectives = round.Objectives
+		})
+		for i := range z {
+			if math.Abs(z[i]-serial.Relax.Z[i]) > tol*(1+math.Abs(serial.Relax.Z[i])) {
+				t.Fatalf("p=%d: z[%d] = %g serial %g", p, i, z[i], serial.Relax.Z[i])
+			}
+		}
+		if len(objectives) != len(serial.Round.Objectives) {
+			t.Fatalf("p=%d: %d ROUND objectives, serial %d", p, len(objectives), len(serial.Round.Objectives))
+		}
+		for i, v := range objectives {
+			if want := serial.Round.Objectives[i]; math.Abs(v-want) > tol*(1+math.Abs(want)) {
+				t.Fatalf("p=%d: objective %d = %g serial %g", p, i, v, want)
+			}
 		}
 	}
 }

@@ -301,7 +301,7 @@ func (inc *Incremental) Select(ctx context.Context, o SelectOptions) (*Result, e
 			selected[i] = true
 		}
 	}
-	if err := runRoundLoop(inc.p.Pool, st, inc.b, scores, selected, inc.rowBuf, round); err != nil {
+	if err := runRoundLoop(ctx, Rank{}, inc.p.Pool, st, inc.b, scores, selected, round); err != nil {
 		return nil, err
 	}
 	res.Selected = round.Selected

@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/hessian"
 	"repro/internal/mat"
+	"repro/internal/timing"
 )
 
 // Problem is one batch-selection instance: the labeled set Xo and the
@@ -112,12 +113,20 @@ func (p *Problem) SigmaMatVecWS(ws *mat.Workspace, z []float64) func(dst, v []fl
 // SigmaMatVecWS, the operator reads z live and column results match the
 // per-column operator bit for bit.
 func (p *Problem) SigmaMatVecBlockWS(ws *mat.Workspace, z []float64) func(dst, v *mat.Dense) {
+	return p.sigmaMatVecBlock(Rank{}, ws, z, nil)
+}
+
+// sigmaMatVecBlock is SigmaMatVecBlockWS on a rank: the local pool
+// partials of the whole probe block are summed in one allreduce before
+// the replicated labeled term is added.
+func (p *Problem) sigmaMatVecBlock(r Rank, ws *mat.Workspace, z []float64, ph *timing.Phases) func(dst, v *mat.Dense) {
 	return func(dst, v *mat.Dense) {
 		for j := 0; j < v.Rows; j++ {
 			p.Labeled.MatVecWS(ws, dst.Row(j), v.Row(j), nil)
 		}
 		buf := ws.Matrix(v.Rows, v.Cols)
 		hessian.MatVecBlockWS(ws, p.Pool, buf, v, z)
+		r.sum(buf.Data, ph)
 		dst.AddScaled(1, buf)
 		ws.PutMatrix(buf)
 	}
@@ -135,11 +144,13 @@ func (p *Problem) PoolMatVecWS(ws *mat.Workspace) func(dst, v []float64) {
 	}
 }
 
-// PoolMatVecBlockWS is the block form of PoolMatVecWS: V ↦ Hp·V over a
-// transposed block in one pool sweep.
-func (p *Problem) PoolMatVecBlockWS(ws *mat.Workspace) func(dst, v *mat.Dense) {
+// poolMatVecBlock is the block form of PoolMatVecWS on rank r: V ↦ Hp·V
+// over a transposed block in one pool sweep, the local partials of the
+// compact block dst summed in one allreduce.
+func (p *Problem) poolMatVecBlock(r Rank, ws *mat.Workspace, ph *timing.Phases) func(dst, v *mat.Dense) {
 	return func(dst, v *mat.Dense) {
 		hessian.MatVecBlockWS(ws, p.Pool, dst, v, nil)
+		r.sum(dst.Data[:dst.Rows*dst.Cols], ph)
 	}
 }
 
@@ -161,11 +172,23 @@ func (p *Problem) SigmaBlocks(z []float64) []*mat.Dense {
 // pass the same dst to reuse its buffers. The returned blocks are only
 // valid until the next call with the same dst.
 func (p *Problem) SigmaBlocksInto(ws *mat.Workspace, dst []*mat.Dense, z []float64) []*mat.Dense {
-	lab := p.labeledBlocks()
+	return p.sigmaBlocks(Rank{}, ws, dst, z, nil, "")
+}
+
+// sigmaBlocks is SigmaBlocksInto on a rank, timed under phase: the local
+// pool blocks are allreduced before the replicated labeled blocks are
+// added identically on every rank.
+func (p *Problem) sigmaBlocks(r Rank, ws *mat.Workspace, dst []*mat.Dense, z []float64, ph *timing.Phases, phase string) []*mat.Dense {
+	stop := ph.Start(phase)
 	dst = p.Pool.BlockDiagSumInto(ws, dst, z)
+	stop()
+	r.sumBlocks(ws, dst, ph)
+	stop = ph.Start(phase)
+	lab := p.labeledBlocks()
 	for k := range dst {
 		dst[k].AddScaled(1, lab[k])
 	}
+	stop()
 	return dst
 }
 

@@ -9,6 +9,7 @@ import (
 	"repro/internal/hessian"
 	"repro/internal/krylov"
 	"repro/internal/mat"
+	"repro/internal/mpi"
 	"repro/internal/rnd"
 	"repro/internal/sketch"
 	"repro/internal/timing"
@@ -22,6 +23,12 @@ import (
 // to pay it per selection; with the pool a steady-state round reuses the
 // previous round's storage whenever the shapes match. Only z and the
 // RelaxResult escape and stay per-call.
+//
+// Only serial solves return their scratch to the pool. A distributed
+// solve is paper-scale, where the setup is noise, and pooling its
+// O(cd²) blocks and sweep buffers per rank keeps them alive between
+// rounds, which raises the process's peak memory (see ARCHITECTURE.md
+// § Performance discipline).
 type relaxScratch struct {
 	n, ed, s, c, d int
 	ws             *mat.Workspace
@@ -54,17 +61,23 @@ func getRelaxScratch(n, ed, s, c, d int) *relaxScratch {
 		sc.w2 = mat.NewDense(s, ed)
 	}
 	if sc.c != c || sc.d != d {
-		sc.sigBlocks = nil // SigmaBlocksInto re-allocates to the new shape
+		sc.sigBlocks = nil // sigmaBlocks re-allocates to the new shape
 	}
 	sc.n, sc.ed, sc.s, sc.c, sc.d = n, ed, s, c, d
 	sc.fHist = sc.fHist[:0]
 	return sc
 }
 
-func (sc *relaxScratch) release() { relaxScratchPool.Put(sc) }
+// release returns a serial solve's scratch to the pool.
+func (sc *relaxScratch) release(r Rank) {
+	if r.Comm == nil {
+		relaxScratchPool.Put(sc)
+	}
+}
 
 // RelaxOptions configure the RELAX solvers (exact Algorithm 1 lines 1–9
-// and fast Algorithm 2).
+// and fast Algorithm 2). "Fast solver" below means RelaxFast and its
+// distributed form RelaxOn (distfiral.Relax), which share one loop.
 type RelaxOptions struct {
 	// MaxIter is the mirror-descent iteration cap T (default 100, the
 	// paper's bound for its convergence criterion).
@@ -101,14 +114,17 @@ type RelaxOptions struct {
 	// entry per pool point with a positive sum; it is copied and normalized
 	// to sum 1, so callers may pass z⋄ (which sums to b) directly. Resume
 	// takes precedence: a checkpointed trajectory restarts from its exact
-	// iterate, not from the warm seed. Fast solver only.
+	// iterate, not from the warm seed. Read by the fast solver, serial and
+	// distributed (each rank slices the global vector by its pool window);
+	// RelaxExact ignores it.
 	WarmStart []float64
-	// Resume, when non-nil, continues a previous RelaxFast solve from the
+	// Resume, when non-nil, continues a previous fast solve from the
 	// checkpointed state instead of starting at the uniform simplex. The
 	// remaining options (Seed, Probes, tolerances, …) must match the
 	// original solve for the resumed trajectory to be bit-for-bit
-	// identical to an uninterrupted one. Fast solver only; the exact and
-	// distributed solvers ignore it.
+	// identical to an uninterrupted one. Read by the fast solver, serial
+	// and distributed; checkpoints hold global weights, so a distributed
+	// solve resumes under any rank count. RelaxExact ignores it.
 	Resume *RelaxCheckpoint
 	// OnIteration, when non-nil, is called after every completed
 	// mirror-descent iteration with the current resumable state, and once
@@ -116,7 +132,9 @@ type RelaxOptions struct {
 	// periodic checkpointing and progress reporting. The checkpoint's
 	// slices alias live solver buffers and are only valid during the
 	// call; Clone to persist. The hook runs on the solver goroutine, so a
-	// slow hook slows the solve. Fast solver only.
+	// slow hook slows the solve. Read by the fast solver, serial and
+	// distributed; a distributed checkpoint allgathers the global iterate,
+	// so set the hook on all ranks or on none. RelaxExact ignores it.
 	OnIteration func(*RelaxCheckpoint)
 }
 
@@ -147,7 +165,8 @@ func (o *RelaxOptions) defaults() {
 // RelaxResult reports a RELAX solve.
 type RelaxResult struct {
 	// Z is the relaxed solution z⋄ = b·z (Algorithm 1 line 9 /
-	// Algorithm 2 line 12); it sums to b.
+	// Algorithm 2 line 12); it sums to b. RelaxOn returns the rank's
+	// slice of it.
 	Z []float64
 	// Objectives holds the per-iteration objective estimates
 	// f = Trace(Σz⁻¹ Hp) when recording was requested.
@@ -158,35 +177,42 @@ type RelaxResult struct {
 	// (fast solver; zero for exact).
 	CGIterations int
 	// Timings attributes wall-clock time to phases: "precond", "cg",
-	// "gradient", "other" (fast), or "dense"/"gradient" (exact).
+	// "gradient", "other" (fast, plus "comm" on a rank), or
+	// "dense"/"gradient"/"other" (exact).
 	Timings *timing.Phases
 }
 
 // mirrorStep applies the entropic mirror-descent update of Algorithm 1
 // lines 7–8 (z_i ← z_i e^{−β g_i}, renormalized), with β_t scaled by the
-// gradient's ∞-norm for a scale-free schedule.
+// gradient's ∞-norm for a scale-free schedule. On a rank the ∞-norm and
+// the simplex sum are global; every rank sees the same ∞-norm, so a zero
+// gradient skips the update on all ranks together.
 //
 //firal:hotpath
-func mirrorStep(z, g []float64, beta0 float64, t int) {
+func (r Rank) mirrorStep(z, g []float64, beta0 float64, t int, ph *timing.Phases) {
+	stop := ph.Start("other")
 	gmax := 0.0
 	for _, v := range g {
 		if a := math.Abs(v); a > gmax {
 			gmax = a
 		}
 	}
-	if gmax == 0 {
+	stop()
+	if gmax = r.reduce(gmax, mpi.Max, ph); gmax == 0 {
 		return
 	}
+	stop = ph.Start("other")
 	beta := beta0 / (gmax * math.Sqrt(float64(t)))
 	var sum float64
 	for i := range z {
 		z[i] *= math.Exp(-beta * g[i])
 		sum += z[i]
 	}
-	inv := 1 / sum
-	for i := range z {
-		z[i] *= inv
-	}
+	stop()
+	sum = r.reduce(sum, mpi.Sum, ph)
+	stop = ph.Start("other")
+	mat.Scal(1/sum, z)
+	stop()
 }
 
 // relConv reports whether the objective change between prev and cur is
@@ -246,17 +272,35 @@ func StochasticConverged(f []float64, tol float64) bool {
 // mirror-descent step rather than O(probes·iterations) — the per-column
 // arithmetic is unchanged (bit-for-bit with the historical per-column
 // sweeps), only the sweep sharing is new.
+func RelaxFast(ctx context.Context, p *Problem, b int, o RelaxOptions) (*RelaxResult, error) {
+	return RelaxOn(ctx, Rank{}, p, b, o)
+}
+
+// RelaxOn runs the RelaxFast loop on rank r (see Rank), with the
+// collectives of § III-C: rank 0 draws the probe block and broadcasts
+// it, the Σz blocks and every block matvec are allreduced, and the
+// mirror step normalizes globally. RelaxResult.Z is the rank's slice of
+// z⋄; Objectives and the iteration counts are identical across ranks.
+//
+// o.WarmStart and o.Resume hold global weights, sliced by the rank's
+// window, so a checkpoint resumes under any rank count. With a
+// communicator, each OnIteration checkpoint allgathers the full simplex
+// iterate — a collective, so OnIteration must be set on all ranks or on
+// none — and cancellation is detected collectively once per iteration:
+// the CG solves run under a background context, because a rank must not
+// leave a collective matvec mid-CG.
 //
 //firal:hotpath
-func RelaxFast(ctx context.Context, p *Problem, b int, o RelaxOptions) (*RelaxResult, error) {
+func RelaxOn(ctx context.Context, r Rank, p *Problem, b int, o RelaxOptions) (*RelaxResult, error) {
 	o.defaults()
 	n, ed := p.N(), p.Ed()
+	total := r.total(n)
 	s := o.Probes
-	rng := rnd.New(o.Seed)
-	z := uniformSimplex(n)
+	z := make([]float64, n) //firal:allow(alloc) the iterate escapes as RelaxResult.Z
+	mat.Fill(z, 1/float64(total))
 	if o.WarmStart != nil && o.Resume == nil {
-		if len(o.WarmStart) != n {
-			return nil, fmt.Errorf("firal: warm start has %d weights, pool has %d", len(o.WarmStart), n)
+		if len(o.WarmStart) != total {
+			return nil, fmt.Errorf("firal: warm start has %d weights, pool has %d", len(o.WarmStart), total)
 		}
 		var sum float64
 		for _, v := range o.WarmStart {
@@ -268,7 +312,7 @@ func RelaxFast(ctx context.Context, p *Problem, b int, o RelaxOptions) (*RelaxRe
 		if !(sum > 0) {
 			return nil, fmt.Errorf("firal: warm start weights sum to %g, want > 0", sum)
 		}
-		copy(z, o.WarmStart)
+		copy(z, o.WarmStart[r.Offset:])
 		mat.Scal(1/sum, z)
 	}
 	res := &RelaxResult{Timings: timing.New()}
@@ -276,10 +320,10 @@ func RelaxFast(ctx context.Context, p *Problem, b int, o RelaxOptions) (*RelaxRe
 
 	start := 1
 	if o.Resume != nil {
-		if len(o.Resume.Z) != n {
-			return nil, fmt.Errorf("%w: checkpoint has %d weights, pool has %d", ErrBadCheckpoint, len(o.Resume.Z), n)
+		if len(o.Resume.Z) != total {
+			return nil, fmt.Errorf("%w: checkpoint has %d weights, pool has %d", ErrBadCheckpoint, len(o.Resume.Z), total)
 		}
-		copy(z, o.Resume.Z)
+		copy(z, o.Resume.Z[r.Offset:])
 		start = o.Resume.Iteration + 1
 		res.Iterations = o.Resume.Iteration
 		res.CGIterations = o.Resume.CGIterations
@@ -293,6 +337,19 @@ func RelaxFast(ctx context.Context, p *Problem, b int, o RelaxOptions) (*RelaxRe
 		}
 	}
 
+	// Rank 0 owns the probe stream; with the same seed it draws exactly
+	// the serial solver's probe sequence, whatever the rank count.
+	var rng *rnd.Source
+	if r.id() == 0 {
+		rng = rnd.New(o.Seed)
+	}
+	// A rank must not abort a collective matvec mid-CG: ranks stop only
+	// at the loop-top collective check.
+	cgCtx := ctx
+	if r.Comm != nil {
+		cgCtx = context.Background()
+	}
+
 	// All per-iteration buffers are hoisted — drawn from the pooled
 	// scratch, so consecutive same-shaped selections reuse them across
 	// calls — and every solver below draws its transient scratch from ws,
@@ -301,15 +358,15 @@ func RelaxFast(ctx context.Context, p *Problem, b int, o RelaxOptions) (*RelaxRe
 	// therefore allocation-free after the first iteration (aside from the
 	// recorded histories).
 	sc := getRelaxScratch(n, ed, s, p.C(), p.D())
-	defer sc.release()
+	defer sc.release(r)
 	ws := sc.ws
 	g := sc.g
 	v, vt, w, hpw, w2 := sc.v, sc.vt, sc.w, sc.hpw, sc.w2
 
 	cgOpt := krylov.Options{Tol: o.CGTol, MaxIter: o.CGMaxIter, Workspace: ws}
-	poolMV := p.PoolMatVecBlockWS(ws)
+	poolMV := p.poolMatVecBlock(r, ws, ph)
 	// The operator closes over z, which the mirror step updates in place.
-	sigmaMV := krylov.BlockOp(p.SigmaMatVecBlockWS(ws, z))
+	sigmaMV := krylov.BlockOp(p.sigmaMatVecBlock(r, ws, z, ph))
 	bp := sc.bp
 	precond := krylov.BlockOp(bp.ApplyBlock)
 
@@ -319,20 +376,26 @@ func RelaxFast(ctx context.Context, p *Problem, b int, o RelaxOptions) (*RelaxRe
 		// the resumed run must see exactly the Rademacher block iteration
 		// t of the uninterrupted run saw.
 		sc.fHist = append(sc.fHist, o.Resume.FHist...) //firal:allow(alloc) resume path, once per run
-		for t := 1; t < start; t++ {
+		for t := 1; t < start && rng != nil; t++ {
 			rng.Rademacher(v.Data)
 		}
 	}
 
 	for t := start; t <= o.MaxIter; t++ {
-		if err := ctx.Err(); err != nil {
+		if err := r.cancelled(ctx, ph); err != nil {
 			return nil, err
 		}
 		// Line 4: fresh Rademacher probe block V ∈ R^{dc×s}, drawn in the
-		// historical ẽd×s order and transposed into the contiguous-probe
-		// layout the block solver works in.
+		// historical ẽd×s order (MPI_Bcast of W per § III-C) and
+		// transposed into the contiguous-probe layout the block solver
+		// works in.
 		stop := ph.Start("other")
-		rng.Rademacher(v.Data)
+		if rng != nil {
+			rng.Rademacher(v.Data)
+		}
+		stop()
+		r.bcast(0, v.Data, ph)
+		stop = ph.Start("other")
 		for j := 0; j < s; j++ {
 			v.Col(vt.Row(j), j)
 		}
@@ -340,8 +403,8 @@ func RelaxFast(ctx context.Context, p *Problem, b int, o RelaxOptions) (*RelaxRe
 
 		// Line 5: block-diagonal preconditioner for Σz, refactored into the
 		// state's persistent storage.
+		sc.sigBlocks = p.sigmaBlocks(r, ws, sc.sigBlocks, z, ph, "precond")
 		stop = ph.Start("precond")
-		sc.sigBlocks = p.SigmaBlocksInto(ws, sc.sigBlocks, z)
 		err := bp.Update(sc.sigBlocks)
 		stop()
 		if err != nil {
@@ -350,10 +413,12 @@ func RelaxFast(ctx context.Context, p *Problem, b int, o RelaxOptions) (*RelaxRe
 
 		// Line 6: W ← Σz⁻¹ V by lockstep block CG (zero initial guess, as
 		// the buffer reuse must not introduce warm starts): one Σz·block
-		// application — one pool sweep — per CG iteration.
+		// application — one pool sweep — per CG iteration. On ranks the
+		// recurrences and convergence masks are replicated, so all ranks
+		// enter the same number of matvec allreduces.
 		stop = ph.Start("cg")
 		w.Zero()
-		sc.cg = krylov.SolveBlockInto(ctx, sigmaMV, precond, vt, w, sc.cg, cgOpt)
+		sc.cg = krylov.SolveBlockInto(cgCtx, sigmaMV, precond, vt, w, sc.cg, cgOpt)
 		res.CGIterations += krylov.TotalIterations(sc.cg)
 		stop()
 		if err := krylov.FirstError(sc.cg); err != nil {
@@ -371,24 +436,22 @@ func RelaxFast(ctx context.Context, p *Problem, b int, o RelaxOptions) (*RelaxRe
 		// Line 8: W ← Σz⁻¹ W by the second lockstep block CG.
 		stop = ph.Start("cg")
 		w2.Zero()
-		sc.cg = krylov.SolveBlockInto(ctx, sigmaMV, precond, hpw, w2, sc.cg, cgOpt)
+		sc.cg = krylov.SolveBlockInto(cgCtx, sigmaMV, precond, hpw, w2, sc.cg, cgOpt)
 		res.CGIterations += krylov.TotalIterations(sc.cg)
 		stop()
 		if err := krylov.FirstError(sc.cg); err != nil {
 			return nil, err
 		}
 
-		// Line 9: g_i ← −(1/s) Σ_j v_jᵀ H_i w_j over the pool — all probes
-		// accumulated in one sweep.
+		// Line 9: g_i ← −(1/s) Σ_j v_jᵀ H_i w_j over the (local) pool — all
+		// probes accumulated in one sweep.
 		stop = ph.Start("gradient")
 		mat.Fill(g, 0)
 		hessian.QuadAccumBlockWS(ws, p.Pool, g, vt, w2, -1/float64(s))
 		stop()
 
 		// Lines 10–11: entropic mirror-descent update.
-		stop = ph.Start("other")
-		mirrorStep(z, g, o.Beta0, t)
-		stop()
+		r.mirrorStep(z, g, o.Beta0, t, ph)
 
 		res.Iterations = t
 		sc.fHist = append(sc.fHist, f) //firal:allow(alloc) recorded history, one float per iteration
@@ -396,9 +459,11 @@ func RelaxFast(ctx context.Context, p *Problem, b int, o RelaxOptions) (*RelaxRe
 			res.Objectives = append(res.Objectives, f) //firal:allow(alloc) diagnostics mode
 		}
 		if o.OnIteration != nil {
-			ck := RelaxCheckpoint{Iteration: t, Z: z, FHist: sc.fHist, CGIterations: res.CGIterations}
+			ck := RelaxCheckpoint{Iteration: t, Z: r.gather(z, ph), FHist: sc.fHist, CGIterations: res.CGIterations}
 			o.OnIteration(&ck)
 		}
+		// f is identical on every rank, so the windowed stop fires in
+		// lockstep.
 		if o.FixedIterations == 0 && StochasticConverged(sc.fHist, o.ObjTol) {
 			break
 		}
@@ -406,7 +471,7 @@ func RelaxFast(ctx context.Context, p *Problem, b int, o RelaxOptions) (*RelaxRe
 	if o.OnIteration != nil {
 		// Final Done checkpoint: a caller interrupted during the ROUND
 		// phase resumes with mirror descent skipped.
-		ck := RelaxCheckpoint{Iteration: res.Iterations, Done: true, Z: z, FHist: sc.fHist, CGIterations: res.CGIterations}
+		ck := RelaxCheckpoint{Iteration: res.Iterations, Done: true, Z: r.gather(z, ph), FHist: sc.fHist, CGIterations: res.CGIterations}
 		o.OnIteration(&ck)
 	}
 

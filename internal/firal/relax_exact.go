@@ -82,9 +82,7 @@ func RelaxExact(ctx context.Context, p *Problem, b int, o RelaxOptions) (*RelaxR
 		stop()
 
 		// Mirror-descent update (lines 7–8).
-		stop = ph.Start("other")
-		mirrorStep(z, g, o.Beta0, t)
-		stop()
+		Rank{}.mirrorStep(z, g, o.Beta0, t, ph)
 
 		res.Iterations = t
 		if o.RecordObjective {

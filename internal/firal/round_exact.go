@@ -36,7 +36,7 @@ type RoundResult struct {
 	// the selected points — the η-tuning criterion of § IV-A.
 	MinEigH float64
 	// Timings attributes wall-clock time to phases ("objective", "eig",
-	// "other").
+	// "other", plus "comm" on a rank).
 	Timings *timing.Phases
 }
 

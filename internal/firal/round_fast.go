@@ -1,6 +1,7 @@
 package firal
 
 import (
+	"context"
 	"math"
 	"sync"
 
@@ -12,9 +13,8 @@ import (
 // RoundState carries the per-class block matrices of the diagonal ROUND
 // step (Algorithm 3). All blocks are d×d; there are c of each, so the
 // state costs O(cd²) — this is what replaces Exact-FIRAL's dense ẽd×ẽd
-// matrices. The state is exported so the distributed solver
-// (internal/distfiral) can construct it from allreduced blocks and shard
-// the eigenvalue work across ranks.
+// matrices. The state is replicated on every rank of a distributed
+// solve (see Rank).
 type RoundState struct {
 	eta   float64
 	b     int
@@ -27,7 +27,7 @@ type RoundState struct {
 	hacc  []*mat.Dense // (H)_k accumulated (line 8)
 
 	// Persistent scratch, reused across the b inner iterations so the hot
-	// Scores/Eigvals/FinishUpdate loop stays allocation-free after
+	// Scores/Eigvals/finishUpdate loop stays allocation-free after
 	// warm-up. A RoundState is owned by one goroutine.
 	ws     *mat.Workspace
 	tmp    *mat.Dense   // d×d product scratch
@@ -38,7 +38,8 @@ type RoundState struct {
 	qp, qb []float64    // block Scores row-dot scratch
 	lamBuf []float64    // concatenated eigenvalues (Eigvals)
 	valBuf []float64    // single-block eigenvalues (Eigvals)
-	nuBuf  []float64    // scaled eigenvalues (FinishUpdate)
+	nuBuf  []float64    // scaled eigenvalues (finishUpdate)
+	win    []float64    // winner's (x, h, global index), broadcast on ranks
 }
 
 // NewRoundState performs lines 3–5 of Algorithm 3 given the diagonal
@@ -66,6 +67,7 @@ func ensureRoundState(prev *RoundState, d, c int) *RoundState {
 		ws:    mat.NewWorkspace(),
 		tmp:   mat.NewDense(d, d),
 		pk:    mat.NewDense(d, d),
+		win:   make([]float64, d+c+1),
 	}
 	for k := 0; k < c; k++ {
 		st.hacc[k] = mat.NewDense(d, d)
@@ -242,22 +244,27 @@ func (st *RoundState) AddPoint(x, h []float64) {
 	}
 }
 
-// Update performs lines 8–11 of Algorithm 3 for the chosen point (x, h)
-// serially: AddPoint, block eigenvalues, ν bisection, and the (B_{t+1})⁻¹
-// rebuild. It returns ν_{t+1}. The distributed solver instead calls
-// AddPoint, shards Eigvals over ranks, and calls FinishUpdate.
+// Update performs lines 8–11 of Algorithm 3 for the chosen point (x, h):
+// AddPoint, block eigenvalues, ν bisection, and the (B_{t+1})⁻¹ rebuild.
+// It returns ν_{t+1}.
 func (st *RoundState) Update(x, h []float64, ph *timing.Phases) (float64, error) {
+	return st.update(Rank{}, x, h, ph)
+}
+
+// update is Update on rank r, which computes the eigenvalues of its c/p
+// blocks and allgathers them (line 9 per § III-C).
+func (st *RoundState) update(r Rank, x, h []float64, ph *timing.Phases) (float64, error) {
 	stop := ph.Start("other")
 	st.AddPoint(x, h)
 	stop()
 
 	stop = ph.Start("eig")
-	lam, err := st.Eigvals(0, st.c)
+	lam, err := st.Eigvals(r.blocks(st.c))
 	stop()
 	if err != nil {
 		return 0, err
 	}
-	return st.FinishUpdate(lam, ph)
+	return st.finishUpdate(r.gather(lam, ph), ph)
 }
 
 // Eigvals computes the eigenvalues of (H̃)_k = (Σ⋄)_k^{-1/2} (H)_k
@@ -281,9 +288,9 @@ func (st *RoundState) Eigvals(kLo, kHi int) ([]float64, error) {
 	return out, nil
 }
 
-// FinishUpdate solves for ν_{t+1} from the full eigenvalue set (line 10)
+// finishUpdate solves for ν_{t+1} from the full eigenvalue set (line 10)
 // and rebuilds the block inverses (line 11).
-func (st *RoundState) FinishUpdate(lam []float64, ph *timing.Phases) (float64, error) {
+func (st *RoundState) finishUpdate(lam []float64, ph *timing.Phases) (float64, error) {
 	stop := ph.Start("other")
 	defer stop()
 	if cap(st.nuBuf) < len(lam) {
@@ -338,13 +345,13 @@ func (st *RoundState) MinEig() float64 {
 // next same-shaped call reuses (the state retains the blocks, so both
 // recycle together — a pooled state never outlives its blocks). Like the
 // RELAX scratch pool this only matters for tiny rounds, where the setup
-// used to rival the solve.
+// used to rival the solve, and likewise only serial solves return their
+// scratch to the pool.
 type roundScratch struct {
 	n, d, c  int
-	ws       *mat.Workspace // block-setup scratch (SigmaBlocksInto)
+	ws       *mat.Workspace // block-setup scratch (sigmaBlocks)
 	scores   []float64
 	selected []bool
-	rowBuf   []float64
 	sig      []*mat.Dense
 	st       *RoundState
 }
@@ -361,35 +368,19 @@ func getRoundScratch(n, d, c int) *roundScratch {
 			sc.selected[i] = false
 		}
 	}
-	if sc.d != d {
-		sc.rowBuf = make([]float64, d)
-	}
 	if sc.d != d || sc.c != c {
-		sc.sig = nil // SigmaBlocksInto re-allocates to the new shape
+		sc.sig = nil // sigmaBlocks re-allocates to the new shape
 		sc.st = nil  // newRoundStateInto builds fresh storage
 	}
 	sc.n, sc.d, sc.c = n, d, c
 	return sc
 }
 
-func (sc *roundScratch) release() { roundScratchPool.Put(sc) }
-
-// newRoundState assembles the blocks from a serial Problem and delegates
-// to newRoundStateInto with the scratch's pooled state and block storage.
-// The Ho blocks alias the Problem's labeled-block cache, which
-// SigmaBlocksInto just warmed — safe because both the cache and the
-// RoundState treat them as read-only.
-func newRoundState(p *Problem, sc *roundScratch, z []float64, b int, eta float64, ph *timing.Phases) (*RoundState, error) {
-	stop := ph.Start("other")
-	sc.sig = p.SigmaBlocksInto(sc.ws, sc.sig, z)
-	ho := p.labeledBlocks()
-	stop()
-	st, err := newRoundStateInto(sc.st, sc.sig, ho, b, eta, ph)
-	if err != nil {
-		return nil, err
+// release returns a serial solve's scratch to the pool.
+func (sc *roundScratch) release(r Rank) {
+	if r.Comm == nil {
+		roundScratchPool.Put(sc)
 	}
-	sc.st = st
-	return st, nil
 }
 
 // RoundFast runs the diagonal ROUND step of Algorithm 3: all Fisher
@@ -398,6 +389,18 @@ func newRoundState(p *Problem, sc *roundScratch, z []float64, b int, eta float64
 // Eq. 17, and each iteration costs O(ncd² + cd³) instead of Exact-FIRAL's
 // O(nc³ + c³d³) (Table II).
 func RoundFast(p *Problem, z []float64, b int, o RoundOptions) (*RoundResult, error) {
+	return RoundOn(context.Background(), Rank{}, p, z, b, o)
+}
+
+// RoundOn runs the RoundFast loop on rank r (see Rank): z is the rank's
+// slice of z⋄, and o.Exclude and the returned Selected are global pool
+// indices, identical across ranks. The Σ⋄ blocks are allreduced, every
+// rank keeps the replicated O(cd²) state and scores its local rows, and
+// each greedy step takes the global argmax by a maxloc reduction and
+// broadcasts the winner's (x, h) from its owner (§ III-C). The budget is
+// clamped to the global pool size. With a communicator, cancellation is
+// detected collectively once per selected candidate.
+func RoundOn(ctx context.Context, r Rank, p *Problem, z []float64, b int, o RoundOptions) (*RoundResult, error) {
 	if o.Eta <= 0 {
 		o.Eta = p.DefaultEta()
 	}
@@ -406,37 +409,45 @@ func RoundFast(p *Problem, z []float64, b int, o RoundOptions) (*RoundResult, er
 
 	n := p.N()
 	sc := getRoundScratch(n, p.D(), p.C())
-	defer sc.release()
-	st, err := newRoundState(p, sc, z, b, o.Eta, ph)
+	defer sc.release(r)
+	// The Ho blocks alias the Problem's labeled-block cache — safe because
+	// both the cache and the RoundState treat them as read-only.
+	sc.sig = p.sigmaBlocks(r, sc.ws, sc.sig, z, ph, "other")
+	st, err := newRoundStateInto(sc.st, sc.sig, p.labeledBlocks(), b, o.Eta, ph)
 	if err != nil {
 		return nil, err
 	}
-	scores, selected, rowBuf := sc.scores, sc.selected, sc.rowBuf
+	sc.st = st
 	for _, i := range o.Exclude {
-		if i >= 0 && i < n {
-			selected[i] = true
+		if li := i - r.Offset; li >= 0 && li < n {
+			sc.selected[li] = true
 		}
 	}
-	if err := runRoundLoop(p.Pool, st, b, scores, selected, rowBuf, res); err != nil {
+	if err := runRoundLoop(ctx, r, p.Pool, st, min(b, r.total(n)), sc.scores, sc.selected, res); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
 // runRoundLoop executes the b greedy iterations of Algorithm 3 lines
-// 6–11 over pool: rescore, argmax over unselected points, and the FTRL
-// state update for the winner. selected marks points the loop must skip
-// (earlier selections, the caller's exclude set) and is updated in
-// place; scores and rowBuf are caller scratch of length n and d. Shared
-// by RoundFast and the incremental delta rounds, which differ only in
-// how the entering RoundState was built.
+// 6–11 over the rank's pool: rescore, argmax over unselected points, and
+// the FTRL state update for the winner. selected marks local points the
+// loop must skip (earlier selections, the caller's exclude set) and is
+// updated in place; scores is caller scratch of the local pool length.
+// Shared by RoundOn and the incremental delta rounds, which differ only
+// in how the entering RoundState was built.
 //
 //firal:hotpath
-func runRoundLoop(pool hessian.Pool, st *RoundState, b int, scores []float64, selected []bool, rowBuf []float64, res *RoundResult) error {
+func runRoundLoop(ctx context.Context, r Rank, pool hessian.Pool, st *RoundState, b int, scores []float64, selected []bool, res *RoundResult) error {
 	n := pool.N()
 	probs := pool.Probs()
 	ph := res.Timings
+	d, c := st.d, st.c
+	x, h := st.win[:d], st.win[d:d+c]
 	for t := 1; t <= b; t++ {
+		if err := r.cancelled(ctx, ph); err != nil {
+			return err
+		}
 		stop := ph.Start("objective")
 		st.Scores(pool, scores)
 		stop()
@@ -452,19 +463,33 @@ func runRoundLoop(pool hessian.Pool, st *RoundState, b int, scores []float64, se
 			}
 		}
 		stop()
+		bestV, owner, best := r.maxLoc(bestV, best, ph)
 		if best < 0 {
-			break
+			break // every rank exhausted its rows
 		}
-		selected[best] = true
-		res.Selected = append(res.Selected, best)      //firal:allow(alloc) result history, one entry per selection
-		res.Objectives = append(res.Objectives, bestV) //firal:allow(alloc) result history, one entry per selection
 
-		nu, err := st.Update(pool.Row(best, rowBuf), probs.Row(best), ph)
+		// The winner's owner fills (x, h, global index) and broadcasts it
+		// (line 11's MPI_Bcast of x_it, h_it; O(c+d) payload).
+		stop = ph.Start("other")
+		if owner == r.id() {
+			selected[best] = true
+			copy(x, pool.Row(best, x))
+			copy(h, probs.Row(best))
+			st.win[d+c] = float64(r.Offset + best)
+		}
+		stop()
+		r.bcast(owner, st.win, ph)
+		res.Selected = append(res.Selected, int(st.win[d+c])) //firal:allow(alloc) result history, one entry per selection
+		res.Objectives = append(res.Objectives, bestV)        //firal:allow(alloc) result history, one entry per selection
+
+		nu, err := st.update(r, x, h, ph)
 		if err != nil {
 			return err
 		}
 		res.Nu = append(res.Nu, nu) //firal:allow(alloc) result history, one entry per selection
 	}
+	stop := ph.Start("eig")
 	res.MinEigH = st.MinEig()
+	stop()
 	return nil
 }

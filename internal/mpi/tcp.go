@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"slices"
 	"sync"
 	"time"
 )
@@ -29,9 +30,14 @@ import (
 // address is.
 
 // Frame layout: [int64 tag][int64 count][count × float64], all little
-// endian. maxFrameElems bounds count so a corrupt or hostile header
-// cannot drive a huge allocation.
-const maxFrameElems = 1 << 28 // 2 GiB of payload
+// endian. maxFrameElems bounds count, and the payload is read in steps
+// of at most frameStep elements, so memory grows with the bytes actually
+// received: a corrupt or hostile header announcing a huge count costs
+// one step's buffers, not the announced size.
+const (
+	maxFrameElems = 1 << 28 // 2 GiB of payload
+	frameStep     = 1 << 20 // 8 MiB per read step
+)
 
 // Conn-opening preamble kinds on a listener.
 const (
@@ -65,13 +71,20 @@ func readFrame(r io.Reader) (tag int, data []float64, err error) {
 	if n < 0 || n > maxFrameElems {
 		return 0, nil, fmt.Errorf("mpi: tcp frame announces %d elements", n)
 	}
-	payload := make([]byte, 8*n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
-	}
-	data = make([]float64, n)
-	for i := range data {
-		data[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
+	// A frame of at most one step is read with exactly one payload and
+	// one data allocation; longer frames grow data as steps arrive.
+	step := min(n, frameStep)
+	payload := make([]byte, 8*step)
+	data = make([]float64, 0, step)
+	for got := int64(0); got < n; got += step {
+		step = min(step, n-got)
+		if _, err := io.ReadFull(r, payload[:8*step]); err != nil {
+			return 0, nil, err
+		}
+		data = slices.Grow(data, int(step))[:got+step]
+		for i := range step {
+			data[got+i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
+		}
 	}
 	return tag, data, nil
 }
