@@ -29,6 +29,16 @@ import (
 	"repro/internal/server"
 )
 
+// Connection timeouts. A client gets readHeaderTimeout to send a request's
+// headers, so a connection that trickles them cannot hold a server
+// goroutine forever, and an idle keep-alive connection is closed after
+// idleTimeout. Request bodies and responses are not timed, because inline
+// CSV pools and selection downloads can be large.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	if err := run(); err != nil {
 		log.Fatal(err)
@@ -75,7 +85,11 @@ func run() error {
 		ln.Addr(), *data, *concurrency, *queue)
 	fmt.Printf("listening %s\n", ln.Addr())
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)

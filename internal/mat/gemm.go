@@ -494,18 +494,36 @@ func microCarry4x4(kc int, ap, bp []float64, dst *Dense, i, j, mr, nr int) {
 	}
 }
 
+// microKernel names one implementation of the 4×4 packed tile product.
+// Each one runs on every CPU that runs the ones after it.
+type microKernel uint8
+
+const (
+	kernelScalar microKernel = iota // microScalar4x4, any GOARCH
+	kernelSSE2                      // micro4x4sse, any amd64 CPU
+	kernelAVX                       // micro4x4avx, amd64 with AVX
+)
+
+// tileKernel is the micro-kernel microTile runs, chosen once at package
+// init from the CPU's features.
+var tileKernel = bestKernel()
+
 // microTile adds the 4×4 tile product of packed panels ap and bp over kc
-// k-steps to acc, continuing each element's sum in ascending k order. The
-// SSE2 kernel runs on amd64 and the scalar loop elsewhere; both add the
-// terms in the same order, so results are identical.
+// k-steps to acc, continuing each element's sum in ascending k order. It
+// runs the AVX kernel where the CPU has AVX, else SSE2 on amd64, else the
+// scalar loop. All three multiply and then add, unfused, in the same
+// order, so their results are identical bit for bit.
 //
 //firal:hotpath
 func microTile(kc int, ap, bp []float64, acc *[gemmMR * gemmNR]float64) {
-	if useAsmKernel {
+	switch tileKernel {
+	case kernelAVX:
+		micro4x4avx(kc, &ap[0], &bp[0], &acc[0])
+	case kernelSSE2:
 		micro4x4sse(kc, &ap[0], &bp[0], &acc[0])
-		return
+	default:
+		microScalar4x4(kc, ap, bp, acc)
 	}
-	microScalar4x4(kc, ap, bp, acc)
 }
 
 // microScalar4x4 is the portable micro-kernel: sixteen independent

@@ -86,3 +86,33 @@ func BenchmarkMulTransAThin(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkMicroKernel times one 4×4 tile product per kernel at the packed
+// depths of the tablev (d = 20), dist (d = 50) and served (d = 64)
+// workloads and of a full gemmKC block (256), reporting GFLOP/s (2·16·kc
+// flops per tile).
+//
+//	go test -run '^$' -bench MicroKernel ./internal/mat
+func BenchmarkMicroKernel(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	for _, kc := range []int{20, 50, 64, 256} {
+		ap, bp := make([]float64, 4*kc), make([]float64, 4*kc)
+		for i := range ap {
+			ap[i], bp[i] = rng.NormFloat64(), rng.NormFloat64()
+		}
+		for k := kernelScalar; k <= kernelAVX; k++ {
+			b.Run(fmt.Sprintf("%s/kc%d", kernelNames[k], kc), func(b *testing.B) {
+				if reason := kernelUnavailable(k); reason != "" {
+					b.Skip(reason)
+				}
+				defer useKernel(k)()
+				var acc [gemmMR * gemmNR]float64
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					microTile(kc, ap, bp, &acc)
+				}
+				b.ReportMetric(float64(2*gemmMR*gemmNR*kc)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+		}
+	}
+}

@@ -121,8 +121,13 @@ func checkMulTransAShape(t *testing.T, a, b *Dense) {
 // micro-kernel (4), the parallel row floor (8), and the cache-blocking
 // parameters (64/256/512), serially and with the worker pool engaged.
 // The thin aᵀ·b shapes (r < 16 output rows) add m across the gemmKC
-// panel edges and the packed-aᵀ chunk edge (4096 rows at r = 15).
+// panel edges and the packed-aᵀ chunk edge (4096 rows at r = 15). The
+// sweep runs once per micro-kernel this machine has.
 func TestBlockedGEMMRaggedShapes(t *testing.T) {
+	forEachKernel(t, raggedShapes)
+}
+
+func raggedShapes(t *testing.T) {
 	dims := []int{1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 63, 65}
 	if !testing.Short() {
 		dims = append(dims, 127, 129, 255, 257)

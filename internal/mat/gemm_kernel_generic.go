@@ -2,9 +2,13 @@
 
 package mat
 
-// useAsmKernel is false off amd64; the scalar micro-kernel runs instead.
-const useAsmKernel = false
+// bestKernel is the scalar micro-kernel off amd64.
+func bestKernel() microKernel { return kernelScalar }
 
 func micro4x4sse(kc int, ap, bp, acc *float64) {
+	panic("mat: asm micro-kernel unavailable on this architecture")
+}
+
+func micro4x4avx(kc int, ap, bp, acc *float64) {
 	panic("mat: asm micro-kernel unavailable on this architecture")
 }

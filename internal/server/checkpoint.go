@@ -55,6 +55,27 @@ func writeCheckpoint(path string, round int, ck *firal.RelaxCheckpoint) error {
 		return err
 	}
 	w := bufio.NewWriterSize(f, 1<<20)
+	encodeCheckpoint(w, round, ck)
+	if err := w.Flush(); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return err
+	}
+	if err := f.Close(); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return os.Rename(tmp, path)
+}
+
+// encodeCheckpoint writes the checkpoint format to w; a write error stays
+// in w and surfaces at its Flush.
+func encodeCheckpoint(w *bufio.Writer, round int, ck *firal.RelaxCheckpoint) {
 	var scratch [8]byte
 	put32 := func(v uint32) {
 		binary.LittleEndian.PutUint32(scratch[:4], v)
@@ -81,21 +102,6 @@ func writeCheckpoint(path string, round int, ck *firal.RelaxCheckpoint) error {
 	put64(uint64(ck.CGIterations))
 	putFloats(ck.Z)
 	putFloats(ck.FHist)
-	if err := w.Flush(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
 }
 
 // readCheckpoint loads a checkpoint, reporting the round it belongs to.
@@ -105,6 +111,13 @@ func readCheckpoint(path string) (round int, ck *firal.RelaxCheckpoint, err erro
 	if err != nil {
 		return 0, nil, err
 	}
+	return decodeCheckpoint(path, raw)
+}
+
+// decodeCheckpoint parses the checkpoint bytes raw read from path (named
+// in errors). It allocates at most len(raw) bytes of floats: every length
+// field is checked against the bytes that remain before it is used.
+func decodeCheckpoint(path string, raw []byte) (round int, ck *firal.RelaxCheckpoint, err error) {
 	if len(raw) < len(ckptMagic)+4+4+1+8 || string(raw[:8]) != ckptMagic {
 		return 0, nil, fmt.Errorf("server: %s is not a round checkpoint", path)
 	}
@@ -128,8 +141,8 @@ func readCheckpoint(path string) (round int, ck *firal.RelaxCheckpoint, err erro
 		if off+8 > len(raw) {
 			return nil, fmt.Errorf("server: checkpoint %s: truncated before %s length", path, what)
 		}
-		n := int(u64())
-		if n < 0 || off+8*n > len(raw) {
+		n := u64()
+		if n > uint64(len(raw)-off)/8 {
 			return nil, fmt.Errorf("server: checkpoint %s: truncated %s (want %d floats, %d bytes left)",
 				path, what, n, len(raw)-off)
 		}
