@@ -1,6 +1,6 @@
 package firal_test
 
-// Ablation benchmarks for the design choices called out in DESIGN.md § 5:
+// Ablation benchmarks for the solver's main design choices:
 // the Woodbury-accelerated exact ROUND vs the literal dense objective, the
 // block-diagonal CG preconditioner on/off inside a full RELAX solve, probe
 // batching, and the recursive-doubling vs ring allreduce paths.

@@ -1,8 +1,8 @@
 package firal_test
 
-// One benchmark family per paper table/figure (DESIGN.md § 4). Each
-// benchmark regenerates a scaled version of the corresponding experiment;
-// the cmd/ binaries print the full series at arbitrary sizes. Run with
+// One benchmark family per paper table/figure. Each benchmark regenerates
+// a scaled version of the corresponding experiment; `firal experiment
+// <name>` prints the full series at arbitrary sizes. Run with
 //
 //	go test -bench=. -benchmem
 //
@@ -111,8 +111,8 @@ func BenchmarkFig2_ApproxFIRAL(b *testing.B) {
 }
 
 // Fig. 3 uses a Caltech-101-shaped config (imbalanced, many classes; no
-// Exact-FIRAL, as in the paper) at the reduced dimensions recorded in
-// EXPERIMENTS.md.
+// Exact-FIRAL, as in the paper) at reduced dimensions (d = 32, c = 34) so
+// a round fits a benchmark iteration.
 func BenchmarkFig3_ApproxFIRAL_Caltech101(b *testing.B) {
 	cfg := dataset.Caltech101().Scale(0.3)
 	cfg.Dim, cfg.Classes, cfg.Budget, cfg.Rounds = 32, 34, 20, 3

@@ -2,7 +2,8 @@
 // features and (oracle) labels are read from CSV files, a selection
 // strategy is applied for a number of rounds, and the selected indices
 // plus per-round accuracies are reported. This is the downstream-user
-// entry point; the firal-* commands reproduce the paper's experiments.
+// entry point; `firal experiment` reproduces the paper's experiments
+// (see Paper experiments below).
 //
 // Strategies are resolved through the package's selector registry
 // (firal.New); `firal -select help` lists everything registered.
@@ -43,6 +44,54 @@
 //
 //	firal -shards pool.shard -labeled seed.csv -select dist-firal \
 //	      -transport tcp -peers host:9907 -ranks 3 -rank $R -op-timeout 5s
+//
+// # Paper experiments
+//
+// `firal experiment <name> [flags]` regenerates one of the paper's figures
+// or tables on the synthetic Table V stand-ins and prints it as a text
+// table; `firal experiment <name> -h` lists that experiment's flags. Every
+// experiment accepts -scale or explicit sizes to shrink paper-sized runs.
+//
+//   - accuracy: the accuracy experiments, Fig. 2 (MNIST, CIFAR-10,
+//     imb-CIFAR-10, ImageNet-50, imb-ImageNet-50), Fig. 3 (Caltech-101,
+//     ImageNet-1k) and the Table V dataset summary. -d/-c/-budget/-rounds
+//     override the Table V values for host-sized reductions.
+//   - cg: Fig. 1, CG convergence with and without the block-diagonal
+//     preconditioner on CIFAR-10-like and ImageNet-1k-like problems,
+//     including the condition-number comparison of § III-A.
+//   - scaling: Figs. 6 and 7, strong and weak scaling of the distributed
+//     RELAX and ROUND steps over the in-process MPI runtime at the paper's
+//     rank counts {1, 2, 3, 6, 12}, with measured per-phase times next to
+//     theoretical estimates. Ranks run as goroutines in one process, so
+//     the measured wall-clock speedup saturates at the host's core count;
+//     the theoretical series shows the ideal multi-device behaviour.
+//   - sensitivity: Fig. 4, the RELAX objective trajectory under different
+//     Hutchinson probe counts s and CG tolerances, against the exact RELAX
+//     solver, on CIFAR-10-like and ImageNet-50-like problems.
+//   - single: Fig. 5, the single-device wall-clock breakdown of the RELAX
+//     and ROUND solves as a function of the feature dimension d and the
+//     class count c, with measured times next to theoretical peak
+//     estimates (the paper's paired columns).
+//   - time: Table VI, wall-clock Exact-FIRAL vs Approx-FIRAL RELAX and
+//     ROUND steps on ImageNet-50-like and Caltech-101-like problems, plus
+//     the analytic complexity Tables II and III (-tables). -d/-c/-budget
+//     shrink the problems, since Exact-FIRAL at d=50, c=50 is out of
+//     reach of a laptop.
+//
+// Usage:
+//
+//	firal experiment accuracy -set small -scale 0.1 -trials 3
+//	firal experiment accuracy -dataset CIFAR-10 -scale 0.2
+//	firal experiment accuracy -table5
+//	firal experiment cg -scale 0.1
+//	firal experiment cg -dataset ImageNet-1k -scale 0.01 -tol 1e-3
+//	firal experiment scaling -step relax -mode strong -n 24000 -d 64 -c 10
+//	firal experiment scaling -step round -mode weak -nperrank 4000 -d 48 -c 32
+//	firal experiment sensitivity -scale 0.1 -iters 40
+//	firal experiment single -step relax -sweep d -values 24,48,64 -c 16 -n 20000
+//	firal experiment single -step round -sweep c -values 8,16,32,64 -d 24 -n 50000
+//	firal experiment time -scale 0.1 -relaxiters 5
+//	firal experiment time -tables
 package main
 
 import (
@@ -51,16 +100,26 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
+	"os/signal"
 	"strings"
 
 	pub "repro"
-	"repro/internal/cli"
 	"repro/internal/csvdata"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("firal: ")
+	if len(os.Args) > 1 && os.Args[1] == "experiment" {
+		ctx, cancel := interruptContext()
+		err := runExperiment(ctx, os.Args[2:], os.Stdout)
+		cancel()
+		if err != nil {
+			log.Fatal(err)
+		}
+		return
+	}
 	var (
 		poolPath  = flag.String("pool", "", "CSV of pool points (features + label column)")
 		labPath   = flag.String("labeled", "", "CSV of initially labeled points")
@@ -168,7 +227,7 @@ func main() {
 
 	// Ctrl-C cancels the session mid-selection; completed rounds were
 	// already streamed by the observer below.
-	ctx, cancel := cli.InterruptContext()
+	ctx, cancel := interruptContext()
 	defer cancel()
 
 	opts := []pub.RunOption{
@@ -215,6 +274,17 @@ func main() {
 	case err != nil:
 		log.Fatal(err)
 	}
+}
+
+// interruptContext returns a context cancelled by the first Ctrl-C
+// (SIGINT). Once that first signal cancels the context the default signal
+// disposition is restored, so a second Ctrl-C terminates the process
+// immediately even if the current phase polls the context only coarsely.
+// The returned stop function releases the signal registration.
+func interruptContext() (context.Context, context.CancelFunc) {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	go func() { <-ctx.Done(); stop() }()
+	return ctx, stop
 }
 
 // announcing wraps a stop criterion so the reason is printed when it

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	pub "repro"
-	"repro/internal/cli"
 	"repro/internal/csvdata"
 	"repro/internal/dataset"
 	"repro/internal/firal"
@@ -152,7 +151,7 @@ func streamSelect(cfg streamConfig) ([]int, error) {
 	}
 	log.Printf("probabilities attached in %.2fs", time.Since(t0).Seconds())
 
-	ctx, cancel := cli.InterruptContext()
+	ctx, cancel := interruptContext()
 	defer cancel()
 	spec := round.Spec{
 		Labeled: hessian.NewSet(labM, hessian.ReduceProbs(softmax.Probabilities(nil, labM, model.Theta))),

@@ -147,6 +147,6 @@
 // Implementation packages live under internal/: internal/firal holds the
 // RELAX/ROUND solvers, internal/mat the dense linear algebra,
 // internal/mpi the message-passing runtime, and internal/experiments the
-// harnesses that regenerate every table and figure of the paper (see
-// DESIGN.md and EXPERIMENTS.md).
+// harnesses that regenerate every table and figure of the paper, run by
+// `firal experiment <name>` (see the cmd/firal package doc).
 package firal

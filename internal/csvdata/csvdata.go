@@ -7,8 +7,11 @@ package csvdata
 import (
 	"encoding/csv"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
+
+	"repro/internal/dataset"
 )
 
 // Load reads a CSV file and splits it into features and labels. labelCol
@@ -29,7 +32,8 @@ func Load(path string, labelCol int) ([][]float64, []int, error) {
 	return Parse(records, labelCol, path)
 }
 
-// Parse converts CSV records into features and labels (see Load).
+// Parse converts CSV records into features and labels (see Load). A NaN or
+// ±Inf feature is rejected with an error matching dataset.ErrNonFinite.
 func Parse(records [][]string, labelCol int, name string) ([][]float64, []int, error) {
 	if len(records) == 0 {
 		return nil, nil, fmt.Errorf("csvdata: %s: empty file", name)
@@ -76,6 +80,9 @@ func Parse(records [][]string, labelCol int, name string) ([][]float64, []int, e
 			v, err := strconv.ParseFloat(cell, 64)
 			if err != nil {
 				return nil, nil, fmt.Errorf("csvdata: %s: row %d col %d: %q is not numeric", name, rowIdx+1, col+1, cell)
+			}
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, nil, fmt.Errorf("csvdata: %s: row %d col %d: %q: %w", name, rowIdx+1, col+1, cell, dataset.ErrNonFinite)
 			}
 			feat = append(feat, v)
 		}

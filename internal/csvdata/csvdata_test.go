@@ -1,9 +1,13 @@
 package csvdata
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"repro/internal/dataset"
 )
 
 func writeTemp(t *testing.T, content string) string {
@@ -61,21 +65,32 @@ func TestLoadErrors(t *testing.T) {
 	cases := []struct {
 		name, content string
 		labelCol      int
+		is            error  // when set, the error must match it
+		where         string // when set, the error must name this position
 	}{
-		{"empty", "", -1},
-		{"header only", "a,b\n", -1},
-		{"one column", "1\n2\n", -1},
+		{"empty", "", -1, nil, ""},
+		{"header only", "a,b\n", -1, nil, ""},
+		{"one column", "1\n2\n", -1, nil, ""},
 		// A non-numeric FIRST row is a header by design, so the malformed
 		// cells below sit in second rows.
-		{"bad label", "1,2,0\n1,2,x\n", -1},
-		{"negative label", "1,2,0\n1,2,-1\n", -1},
-		{"bad feature", "1,2,0\nx?,2,0\n", -1},
-		{"label col out of range", "1,2,0\n", 7},
+		{"bad label", "1,2,0\n1,2,x\n", -1, nil, ""},
+		{"negative label", "1,2,0\n1,2,-1\n", -1, nil, ""},
+		{"bad feature", "1,2,0\nx?,2,0\n", -1, nil, ""},
+		{"label col out of range", "1,2,0\n", 7, nil, ""},
+		{"NaN feature", "1,2,0\n1,NaN,1\n", -1, dataset.ErrNonFinite, "row 2 col 2"},
+		{"Inf feature", "Inf,2,0\n", -1, dataset.ErrNonFinite, "row 1 col 1"},
+		{"-Inf feature", "f,g,label\n1,2,0\n0,-inf,1\n", -1, dataset.ErrNonFinite, "row 3 col 2"},
 	}
 	for _, tc := range cases {
 		path := writeTemp(t, tc.content)
-		if _, _, err := Load(path, tc.labelCol); err == nil {
+		_, _, err := Load(path, tc.labelCol)
+		switch {
+		case err == nil:
 			t.Errorf("%s: expected error", tc.name)
+		case tc.is != nil && !errors.Is(err, tc.is):
+			t.Errorf("%s: error %v does not match %v", tc.name, err, tc.is)
+		case !strings.Contains(err.Error(), tc.where):
+			t.Errorf("%s: error %v does not name %q", tc.name, err, tc.where)
 		}
 	}
 	if _, _, err := Load("/nonexistent/file.csv", -1); err == nil {

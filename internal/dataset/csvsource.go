@@ -2,7 +2,9 @@ package dataset
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -12,6 +14,13 @@ import (
 
 // NoLabelColumn tells NewCSVSource the file holds features only.
 const NoLabelColumn = -2
+
+// ErrNonFinite reports a NaN or ±Inf feature cell in CSV input.
+// strconv.ParseFloat accepts "NaN", "Inf" and "-Inf", and a non-finite
+// feature would otherwise reach the Cholesky and ridge paths; both CSV
+// readers (CSVSource and csvdata.Parse) wrap it with the file, row and
+// column.
+var ErrNonFinite = errors.New("non-finite feature value")
 
 // CSVSource serves a numeric CSV file (one point per row, optional header,
 // optionally one integer label column) as a PoolSource. Opening performs
@@ -132,6 +141,9 @@ func (s *CSVSource) parseRow(fields []string, dst []float64) (label, width int, 
 		v, perr := strconv.ParseFloat(cell, 64)
 		if perr != nil {
 			return 0, 0, fmt.Errorf("column %d: %q is not numeric", col+1, cell)
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return 0, 0, fmt.Errorf("column %d: %q: %w", col+1, cell, ErrNonFinite)
 		}
 		if dst != nil {
 			dst[width] = v

@@ -7,7 +7,7 @@
 // sub-Gaussian class mixture with the same (n, d, c), the same
 // labeled/pool/eval split sizes, the same imbalance ratios, and the same
 // per-round budgets — preserving exactly the structure the selectors
-// interact with. See DESIGN.md § 3 for the substitution argument.
+// interact with.
 //
 // The package also defines the out-of-core pool abstraction the
 // streaming solvers consume: PoolSource and its implementations

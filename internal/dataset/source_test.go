@@ -1,9 +1,11 @@
 package dataset
 
 import (
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/mat"
@@ -206,6 +208,34 @@ func TestCSVSourceRejectsMalformed(t *testing.T) {
 		}
 		if _, err := NewCSVSource(path, -1); err == nil {
 			t.Fatalf("%s: malformed CSV accepted", name)
+		}
+	}
+}
+
+// TestCSVSourceRejectsNonFinite pins ingestion validation: NaN and ±Inf
+// parse as floats, but a pool feature must be finite, so opening fails
+// with ErrNonFinite naming the file, row and column.
+func TestCSVSourceRejectsNonFinite(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		content  string
+		labelCol int
+		where    string
+	}{
+		{"1,2,0\n3,NaN,1\n", -1, "row 2: column 2"},
+		{"x,y\n+Inf,2\n", NoLabelColumn, "row 2: column 1"},
+		{"1,2\n3,4\n5,-Inf\n", NoLabelColumn, "row 3: column 2"},
+	} {
+		path := filepath.Join(dir, "pool.csv")
+		if err := os.WriteFile(path, []byte(tc.content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := NewCSVSource(path, tc.labelCol)
+		if !errors.Is(err, ErrNonFinite) {
+			t.Fatalf("%q: err = %v, want ErrNonFinite", tc.content, err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, path) || !strings.Contains(msg, tc.where) {
+			t.Fatalf("%q: error %q does not name %s and %q", tc.content, msg, path, tc.where)
 		}
 	}
 }

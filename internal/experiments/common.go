@@ -3,8 +3,8 @@
 // (Figs. 2–3), CG preconditioner convergence (Fig. 1), RELAX sensitivity
 // (Fig. 4), Exact-vs-Approx timing (Table VI), single-device breakdowns
 // with theoretical peak estimates (Fig. 5), and strong/weak scaling over
-// the MPI simulator (Figs. 6–7). The cmd/ binaries and the top-level
-// benchmarks are thin wrappers over this package.
+// the MPI simulator (Figs. 6–7). `firal experiment <name>` (cmd/firal)
+// and the top-level benchmarks are thin wrappers over this package.
 package experiments
 
 import (
@@ -83,14 +83,6 @@ func PrintTable(w io.Writer, headers []string, rows [][]string) {
 	line(seps)
 	for _, r := range rows {
 		line(r)
-	}
-}
-
-// PrintCSV renders rows as CSV.
-func PrintCSV(w io.Writer, headers []string, rows [][]string) {
-	fmt.Fprintln(w, strings.Join(headers, ","))
-	for _, r := range rows {
-		fmt.Fprintln(w, strings.Join(r, ","))
 	}
 }
 

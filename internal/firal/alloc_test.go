@@ -119,7 +119,7 @@ func TestSolveBlockZeroAllocMulticore(t *testing.T) {
 	bT := mat.NewDense(s, p.Ed())
 	rnd.New(7).Rademacher(bT.Data) // independent probe columns, staggered convergence
 	xT := mat.NewDense(s, p.Ed())
-	sigMV := krylov.BlockOp(p.SigmaMatVecBlockWS(ws, z))
+	sigMV := krylov.BlockOp(p.sigmaMatVecBlock(Rank{}, ws, z, nil))
 	precond := krylov.BlockOp(bp.ApplyBlock)
 	opt := krylov.Options{Tol: 0.1, MaxIter: 60, Workspace: ws}
 	var results []krylov.Result

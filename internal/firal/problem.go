@@ -105,20 +105,14 @@ func (p *Problem) SigmaMatVecWS(ws *mat.Workspace, z []float64) func(dst, v []fl
 	}
 }
 
-// SigmaMatVecBlockWS returns the block operator V ↦ (Ho + Hz)·V over a
-// transposed probe block (s×ẽd, row j = probe j; see krylov.BlockOp): one
-// hessian.MatVecBlockWS sweep applies the pool term to all s probes — for
-// a streamed pool, one decode per application instead of one per probe —
-// and the small resident labeled term is applied per row. Like
-// SigmaMatVecWS, the operator reads z live and column results match the
-// per-column operator bit for bit.
-func (p *Problem) SigmaMatVecBlockWS(ws *mat.Workspace, z []float64) func(dst, v *mat.Dense) {
-	return p.sigmaMatVecBlock(Rank{}, ws, z, nil)
-}
-
-// sigmaMatVecBlock is SigmaMatVecBlockWS on a rank: the local pool
-// partials of the whole probe block are summed in one allreduce before
-// the replicated labeled term is added.
+// sigmaMatVecBlock returns the block operator V ↦ (Ho + Hz)·V on rank r
+// over a transposed probe block (s×ẽd, row j = probe j; see
+// krylov.BlockOp): one hessian.MatVecBlockWS sweep applies the pool term
+// to all s probes — for a streamed pool, one decode per application
+// instead of one per probe — and the local pool partials of the whole
+// block are summed in one allreduce before the small replicated labeled
+// term, applied per row, is added. Like SigmaMatVecWS, the operator reads
+// z live and column results match the per-column operator bit for bit.
 func (p *Problem) sigmaMatVecBlock(r Rank, ws *mat.Workspace, z []float64, ph *timing.Phases) func(dst, v *mat.Dense) {
 	return func(dst, v *mat.Dense) {
 		for j := 0; j < v.Rows; j++ {
@@ -132,19 +126,7 @@ func (p *Problem) sigmaMatVecBlock(r Rank, ws *mat.Workspace, z []float64, ph *t
 	}
 }
 
-// PoolMatVec returns the operator v ↦ Hp·v (unweighted pool sum).
-func (p *Problem) PoolMatVec() func(dst, v []float64) {
-	return p.PoolMatVecWS(nil)
-}
-
-// PoolMatVecWS is PoolMatVec with scratch drawn from ws.
-func (p *Problem) PoolMatVecWS(ws *mat.Workspace) func(dst, v []float64) {
-	return func(dst, v []float64) {
-		p.Pool.MatVecWS(ws, dst, v, nil)
-	}
-}
-
-// poolMatVecBlock is the block form of PoolMatVecWS on rank r: V ↦ Hp·V
+// poolMatVecBlock is the unweighted pool operator on rank r: V ↦ Hp·V
 // over a transposed block in one pool sweep, the local partials of the
 // compact block dst summed in one allreduce.
 func (p *Problem) poolMatVecBlock(r Rank, ws *mat.Workspace, ph *timing.Phases) func(dst, v *mat.Dense) {

@@ -156,9 +156,6 @@ func NewRoundStateFromFactors(prev *RoundState, sig, ho []*mat.Dense, factors []
 	return st, nil
 }
 
-// NumBlocks returns the number of Fisher blocks c.
-func (st *RoundState) NumBlocks() int { return st.c }
-
 // Scores evaluates the equivalent ROUND objective of Proposition 4 /
 // Eq. 17 for every point of pool (scores to maximize):
 //

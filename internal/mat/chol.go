@@ -207,15 +207,6 @@ func (c *Cholesky) InverseInto(ws *Workspace, dst *Dense) *Dense {
 	return c.SolveInto(ws, dst, dst)
 }
 
-// LogDet returns log det A = 2 Σ log L_ii.
-func (c *Cholesky) LogDet() float64 {
-	var s float64
-	for i := 0; i < c.L.Rows; i++ {
-		s += math.Log(c.L.At(i, i))
-	}
-	return 2 * s
-}
-
 // InvSPD inverts a symmetric positive definite matrix, applying a ridge if
 // needed. It panics only on shape errors; numerically hopeless inputs
 // return an error.

@@ -6,7 +6,7 @@
 // paper's batched cupy.linalg calls parallelize over GPU SMs.
 //
 // All storage is row-major float64. The paper uses float32 on GPUs; we use
-// float64 on CPUs for robustness and document the difference in DESIGN.md.
+// float64 on CPUs for robustness.
 package mat
 
 import (
@@ -241,16 +241,4 @@ func (m *Dense) Symmetrize() {
 			m.Set(j, i, v)
 		}
 	}
-}
-
-// IsFinite reports whether all entries are finite.
-func (m *Dense) IsFinite() bool {
-	for i := 0; i < m.Rows; i++ {
-		for _, v := range m.Row(i) {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return false
-			}
-		}
-	}
-	return true
 }

@@ -12,9 +12,8 @@ var ErrSingular = errors.New("mat: matrix is singular")
 // It serves the small non-symmetric c×c solves of the exact ROUND step's
 // Woodbury identity, where (I + ηS G) is not symmetric.
 type LU struct {
-	lu   *Dense
-	piv  []int
-	sign float64
+	lu  *Dense
+	piv []int
 }
 
 // NewLU factors a (copied, not modified) with partial pivoting.
@@ -28,7 +27,6 @@ func NewLU(a *Dense) (*LU, error) {
 	for i := range piv {
 		piv[i] = i
 	}
-	sign := 1.0
 	for k := 0; k < n; k++ {
 		// Pivot search.
 		p, maxAbs := k, math.Abs(lu.At(k, k))
@@ -46,7 +44,6 @@ func NewLU(a *Dense) (*LU, error) {
 				rk[j], rp[j] = rp[j], rk[j]
 			}
 			piv[k], piv[p] = piv[p], piv[k]
-			sign = -sign
 		}
 		pivVal := lu.At(k, k)
 		for i := k + 1; i < n; i++ {
@@ -61,7 +58,7 @@ func NewLU(a *Dense) (*LU, error) {
 			}
 		}
 	}
-	return &LU{lu: lu, piv: piv, sign: sign}, nil
+	return &LU{lu: lu, piv: piv}, nil
 }
 
 // SolveVec solves A x = b; dst may be nil or alias b.
@@ -112,13 +109,4 @@ func (f *LU) Solve(dst, b *Dense) *Dense {
 		dst.SetCol(j, col)
 	}
 	return dst
-}
-
-// Det returns the determinant.
-func (f *LU) Det() float64 {
-	d := f.sign
-	for i := 0; i < f.lu.Rows; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
 }

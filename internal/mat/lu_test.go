@@ -60,27 +60,6 @@ func TestLUSingular(t *testing.T) {
 	}
 }
 
-func TestLUDet(t *testing.T) {
-	a := FromRows([][]float64{{2, 0}, {0, 3}})
-	lu, err := NewLU(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(lu.Det()-6) > 1e-12 {
-		t.Fatalf("det %g", lu.Det())
-	}
-	// Permutation flips the sign consistently: det of a row-swapped
-	// identity is -1.
-	p := FromRows([][]float64{{0, 1}, {1, 0}})
-	lup, err := NewLU(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(lup.Det()+1) > 1e-12 {
-		t.Fatalf("permutation det %g", lup.Det())
-	}
-}
-
 // TestLUAgainstCholesky: on SPD inputs both factorizations must give the
 // same solutions.
 func TestLUAgainstCholesky(t *testing.T) {

@@ -277,11 +277,6 @@ func TestSPDFuncs(t *testing.T) {
 	if d := MaxAbsDiff(id, Eye(12)); d > 1e-8 {
 		t.Fatalf("A^{-1/2} A A^{-1/2} != I (%g)", d)
 	}
-	inv := sf.Inv()
-	id2 := Mul(nil, inv, a)
-	if d := MaxAbsDiff(id2, Eye(12)); d > 1e-8 {
-		t.Fatalf("A⁻¹A != I (%g)", d)
-	}
 	if sf.Cond() < 1 {
 		t.Fatalf("condition number < 1: %g", sf.Cond())
 	}
@@ -412,12 +407,5 @@ func TestDenseBasics(t *testing.T) {
 	}
 	if FrobDot(fr, fr) <= 0 {
 		t.Fatal("FrobDot broken")
-	}
-	if !fr.IsFinite() {
-		t.Fatal("IsFinite false on finite matrix")
-	}
-	fr.Set(0, 0, math.NaN())
-	if fr.IsFinite() {
-		t.Fatal("IsFinite true on NaN")
 	}
 }

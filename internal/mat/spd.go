@@ -3,7 +3,7 @@ package mat
 import "math"
 
 // SPDFuncs holds an eigendecomposition of an SPD matrix and serves matrix
-// functions of it (A^{1/2}, A^{-1/2}, A^{-1}). The paper needs Σ⋄^{±1/2}
+// functions of it (A^{1/2}, A^{-1/2}, condition number). The paper needs Σ⋄^{±1/2}
 // for the tilde transform of Eq. 8 both globally (Exact-FIRAL) and per
 // d×d block (Approx-FIRAL ROUND, Algorithm 3 line 9).
 type SPDFuncs struct {
@@ -23,10 +23,6 @@ func NewSPDFuncs(a *Dense, floor float64) (*SPDFuncs, error) {
 	}
 	return &SPDFuncs{vals: vals, vecs: vecs, floor: floor}, nil
 }
-
-// Eigenvalues returns the (ascending) eigenvalues. The slice is owned by
-// the receiver and must not be modified.
-func (s *SPDFuncs) Eigenvalues() []float64 { return s.vals }
 
 // apply returns V diag(f(λ)) Vᵀ.
 func (s *SPDFuncs) apply(f func(float64) float64) *Dense {
@@ -64,11 +60,6 @@ func (s *SPDFuncs) Sqrt() *Dense {
 // InvSqrt returns A^{-1/2} with eigenvalue flooring.
 func (s *SPDFuncs) InvSqrt() *Dense {
 	return s.apply(func(l float64) float64 { return 1 / math.Sqrt(s.clamped(l)) })
-}
-
-// Inv returns A^{-1} with eigenvalue flooring.
-func (s *SPDFuncs) Inv() *Dense {
-	return s.apply(func(l float64) float64 { return 1 / s.clamped(l) })
 }
 
 // Cond returns the 2-norm condition number λmax/λmin (after flooring),

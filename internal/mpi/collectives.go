@@ -224,12 +224,6 @@ func (c *Comm) AllreduceMaxLoc(val float64, loc int) (float64, int, int) {
 	return bestVal, bestRank, bestLoc
 }
 
-// AllreduceMinLoc is the min analogue of AllreduceMaxLoc.
-func (c *Comm) AllreduceMinLoc(val float64, loc int) (float64, int, int) {
-	v, r, l := c.AllreduceMaxLoc(-val, loc)
-	return -v, r, l
-}
-
 // Partition computes this rank's contiguous share [lo, hi) of n items
 // distributed as evenly as possible across all ranks (the "evenly
 // distributing h_i and x_i of n points across p GPUs" of § III-C).

@@ -232,15 +232,6 @@ func TestAllreduceMaxLoc(t *testing.T) {
 	}
 }
 
-func TestAllreduceMinLoc(t *testing.T) {
-	Run(4, func(c *Comm) {
-		v, r, _ := c.AllreduceMinLoc(float64(10-c.Rank()), c.Rank())
-		if v != 7 || r != 3 {
-			t.Errorf("minloc (%g,%d)", v, r)
-		}
-	})
-}
-
 // TestAllreduceRandomProperty cross-checks Allreduce against a sequential
 // reduction for random sizes and rank counts.
 func TestAllreduceRandomProperty(t *testing.T) {

@@ -104,7 +104,7 @@ func TestBisect(t *testing.T) {
 }
 
 // TestBisectFTRLShape exercises the actual ν_t equation from the ROUND
-// step: Σ_j (ν + ηλ_j)⁻² = 1 with the bracket from DESIGN.md § 5.
+// step: Σ_j (ν + ηλ_j)⁻² = 1 with firal's solveNu bracket.
 func TestBisectFTRLShape(t *testing.T) {
 	lambda := []float64{0, 0.3, 1.1, 2.2, 5.0}
 	eta := 1.7

@@ -236,6 +236,7 @@ func TestCreateValidation(t *testing.T) {
 		{"missing shard", createRequest{Shards: []string{shard + ".nope"}, Labeled: lab}, shard + ".nope"},
 		{"dim mismatch", createRequest{Shards: []string{shard}, Labeled: labeledUpload{X: [][]float64{{1, 2}, {3, 4}}, Y: []int{0, 1}}}, "dimension"},
 		{"label out of range", createRequest{Shards: []string{shard}, Labeled: labeledUpload{X: labX, Y: make([]int, len(labY))}}, "2 classes"},
+		{"non-finite pool_csv", createRequest{PoolCSV: "1,2,3,4\n1,NaN,3,4\n", Labeled: lab}, "row 2: column 2"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	pub "repro"
 	"repro/internal/dataset"
 	"repro/internal/mat"
 )
@@ -129,10 +128,6 @@ type Session struct {
 	ticket      *Ticket
 	progress    roundProgress
 	roundWG     sync.WaitGroup
-
-	// observers receive the RoundReport of every completed round, wired
-	// through the library's streaming observer type.
-	observers []pub.RoundObserver
 }
 
 // activeRound returns the queued-or-running round, or nil. Caller holds mu.

@@ -8,6 +8,15 @@ import (
 	"repro/internal/rnd"
 )
 
+// probeTrace draws s Rademacher probes of length n as the rows of vt and
+// returns TraceFromProbesT for the symmetric matrix a (so row j of vt·a is
+// A·v_j).
+func probeTrace(a *mat.Dense, s int, rng *rnd.Source) float64 {
+	vt := mat.NewDense(s, a.Rows)
+	rng.Rademacher(vt.Data)
+	return TraceFromProbesT(vt, mat.Mul(nil, vt, a))
+}
+
 func TestHutchinsonUnbiasedOnDiagonal(t *testing.T) {
 	// For diagonal A, vᵀAv = Σ a_ii v_i² = Trace(A) exactly for Rademacher
 	// probes, so even one probe is exact.
@@ -18,8 +27,7 @@ func TestHutchinsonUnbiasedOnDiagonal(t *testing.T) {
 		a.Set(i, i, float64(i+1))
 		trace += float64(i + 1)
 	}
-	got := HutchinsonTrace(func(dst, v []float64) { mat.MatVec(dst, a, v) }, n, 1, rnd.New(2))
-	if math.Abs(got-trace) > 1e-10 {
+	if got := probeTrace(a, 1, rnd.New(2)); math.Abs(got-trace) > 1e-10 {
 		t.Fatalf("diagonal trace %g want %g", got, trace)
 	}
 }
@@ -31,29 +39,16 @@ func TestHutchinsonConvergesOnDense(t *testing.T) {
 	rng.Normal(x.Data, 0, 1)
 	a := mat.MulTransA(nil, x, x)
 	trace := a.Trace()
-	est := HutchinsonTrace(func(dst, v []float64) { mat.MatVec(dst, a, v) }, n, 4000, rnd.New(4))
-	if math.Abs(est-trace) > 0.1*math.Abs(trace) {
+	if est := probeTrace(a, 4000, rnd.New(4)); math.Abs(est-trace) > 0.1*math.Abs(trace) {
 		t.Fatalf("Hutchinson estimate %g too far from %g", est, trace)
 	}
 }
 
 func TestTraceFromProbes(t *testing.T) {
-	rng := rnd.New(5)
 	n, s := 12, 64
 	a := mat.Eye(n)
 	a.Scale(3)
-	v := mat.NewDense(n, s)
-	rng.Rademacher(v.Data)
-	av := mat.Mul(nil, a, v)
-	got := TraceFromProbes(v, av)
-	if math.Abs(got-3*float64(n)) > 1e-9 {
-		t.Fatalf("TraceFromProbes %g want %g", got, 3*float64(n))
-	}
-}
-
-func TestProbes(t *testing.T) {
-	ps := Probes(rnd.New(6), 8, 3)
-	if len(ps) != 3 || len(ps[0]) != 8 {
-		t.Fatal("Probes shape wrong")
+	if got := probeTrace(a, s, rnd.New(5)); math.Abs(got-3*float64(n)) > 1e-9 {
+		t.Fatalf("TraceFromProbesT %g want %g", got, 3*float64(n))
 	}
 }

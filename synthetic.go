@@ -6,9 +6,9 @@ import (
 )
 
 // Synthetic describes a synthetic embedding benchmark shaped like one of
-// the paper's Table V datasets (see DESIGN.md § 3 for why synthetic
-// sub-Gaussian class mixtures preserve the selector-ranking behaviour of
-// the real embeddings).
+// the paper's Table V datasets: a sub-Gaussian class mixture with the
+// dataset's shape, which is the input model FIRAL's theory assumes (see
+// the internal dataset package for the substitution argument).
 type Synthetic struct {
 	Name           string
 	Classes, Dim   int
